@@ -235,11 +235,27 @@ class _FrameCache:
         return got
 
     def many(self, tangents):
-        e1 = np.empty((len(tangents), self.m))
-        e2 = np.empty((len(tangents), self.m))
-        for k, row in enumerate(tangents):
-            e1[k], e2[k] = self.get(row)
-        return e1, e2
+        """Frames (e1, e2), each (P, m), for the rows of tangents (P, n2).
+
+        `get` runs once per distinct row. Rows are told apart by their bytes,
+        as the memo keys are, so the frames are those `get` gives row by row.
+        """
+        tangents = np.ascontiguousarray(tangents, dtype=float)
+        row_bytes = tangents.shape[1] * tangents.itemsize
+        keys = tangents.view(np.dtype((np.void, row_bytes))).ravel()
+        # integrate hands over each tangent once per quadrature point of a
+        # leaf, so first collapse runs of equal rows
+        starts = np.ones(len(keys), dtype=bool)
+        starts[1:] = keys[1:] != keys[:-1]
+        run_rows = np.nonzero(starts)[0]
+        _, first, inverse = np.unique(
+            keys[run_rows], return_index=True, return_inverse=True
+        )
+        frames = [self.get(tangents[run_rows[k]]) for k in first]
+        e1 = np.array([f[0] for f in frames]).reshape(len(frames), self.m)
+        e2 = np.array([f[1] for f in frames]).reshape(len(frames), self.m)
+        row_frame = inverse[np.cumsum(starts) - 1]
+        return e1[row_frame], e2[row_frame]
 
 
 def _projection_gram(rel, e1, e2):

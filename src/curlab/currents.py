@@ -10,6 +10,7 @@ inequality quantities. A line-oriented mesh text format is included.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -367,42 +368,80 @@ def _cylinder_clip_areas(C: TriCurrent, center, r: float, axes) -> np.ndarray:
     return out
 
 
+def _midpoint_children(corners):
+    """The four midpoint children of each triangle in (n, 3, m) corners."""
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    m01, m12, m20 = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+    return [
+        np.stack([a, m01, m20], axis=1),
+        np.stack([m01, b, m12], axis=1),
+        np.stack([m20, m12, c], axis=1),
+        np.stack([m01, m12, m20], axis=1),
+    ]
+
+
+def _subdivide(tri, owner, area, R: Region, is_leaf):
+    """Level-synchronous midpoint subdivision of a frontier of sub-triangles.
+
+    The frontier is held as corners (n, 3, m), the index of the owning
+    triangle and the area. At each depth `R.indicator` is called once, on
+    the corners and the centroid of every sub-triangle, giving membership
+    inn (n, 4) with the centroid last. `is_leaf(depth, inn, area)` marks the
+    sub-triangles that retire as leaves; the others are split into their
+    four midpoint children, each owning a quarter of the area. `is_leaf`
+    must retire every sub-triangle by some depth. Returns the leaves'
+    corners, owners, areas and inn, each concatenated over the depths.
+    """
+    leaves = []
+    for depth in itertools.count():
+        centroids = tri.mean(axis=1, keepdims=True)
+        inn = R.indicator(np.concatenate([tri, centroids], axis=1))
+        done = is_leaf(depth, inn, area)
+        leaves.append((tri[done], owner[done], area[done], inn[done]))
+        if np.all(done):
+            return [np.concatenate(col) for col in zip(*leaves)]
+        tri = np.concatenate(_midpoint_children(tri[~done]))
+        owner = np.tile(owner[~done], 4)
+        area = np.tile(area[~done] / 4.0, 4)
+
+
+_MASS_MAX_DEPTH = 9
+
+
 def _subdiv_mass(C: TriCurrent, R: Region, rel_tol: float = 1e-4) -> float:
-    """Mass over a general region by recursive subdivision with an indicator."""
+    """Mass over a general region by subdivision against the indicator.
+
+    A (sub-)triangle is settled when its three vertices and its centroid are
+    all inside R, or all outside. A settled triangle counts its area, or 0;
+    the others form the frontier that `_subdivide` splits level by level.
+    Leaf rule for a sub-triangle at depth d: from d = 2 on, a settled one
+    counts its area, or 0 (at d = 0 and 1 it is split even if settled); at
+    d = 9, or once its area is at most rel_tol^2 * max(total mass, 1e-12),
+    it counts its area if its centroid is inside and 0 otherwise. Leaf
+    areas are summed per triangle, then weighted by its multiplicity.
+    """
     total = C.total_mass()
     corners = C.corners()
-    verts_in = R.indicator(C.corners())
+    verts_in = R.indicator(corners)
     cents_in = R.indicator(C.centroids)
     all_in = np.all(verts_in, axis=1) & cents_in
     all_out = np.all(~verts_in, axis=1) & ~cents_in
     acc = float(np.sum(C.areas[all_in] * C.multiplicities[all_in]))
-    mixed = np.nonzero(~(all_in | all_out))[0]
-    max_depth = 9
+    small = rel_tol * rel_tol * max(total, 1e-12)
 
-    def rec(tri, area, depth):
-        inn = R.indicator(tri)
-        cen = tri.mean(axis=0)
-        cin = bool(R.indicator(cen))
-        if depth >= 2 and (np.all(inn) and cin):
-            return area
-        if depth >= 2 and (not np.any(inn) and not cin):
-            return 0.0
-        if depth >= max_depth or area <= rel_tol * rel_tol * max(total, 1e-12):
-            return area if cin else 0.0
-        m01 = 0.5 * (tri[0] + tri[1])
-        m12 = 0.5 * (tri[1] + tri[2])
-        m20 = 0.5 * (tri[2] + tri[0])
-        q = area / 4.0
-        return (
-            rec(np.array([tri[0], m01, m20]), q, depth + 1)
-            + rec(np.array([m01, tri[1], m12]), q, depth + 1)
-            + rec(np.array([m20, m12, tri[2]]), q, depth + 1)
-            + rec(np.array([m01, m12, m20]), q, depth + 1)
-        )
+    def is_leaf(depth, inn, area):
+        verts, cin = inn[:, :3], inn[:, 3]
+        settled = (np.all(verts, axis=1) & cin) | (~np.any(verts, axis=1) & ~cin)
+        capped = (depth == _MASS_MAX_DEPTH) | (area <= small)
+        return (settled & (depth >= 2)) | capped
 
-    for k in mixed:
-        acc += C.multiplicities[k] * rec(corners[k], float(C.areas[k]), 0)
-    return acc
+    # every leaf counts its area if its centroid is inside, whatever retired it
+    owner = np.nonzero(~(all_in | all_out))[0]
+    _, owner, area, inn = _subdivide(
+        corners[owner], owner, C.areas[owner], R, is_leaf
+    )
+    per_triangle = np.bincount(owner, weights=area * inn[:, 3], minlength=len(C))
+    return acc + float(per_triangle @ C.multiplicities)
 
 
 def mass(C: TriCurrent, R: Region | None = None) -> float:
@@ -410,7 +449,8 @@ def mass(C: TriCurrent, R: Region | None = None) -> float:
 
     Ball, annulus and cylinder restrictions are clipped exactly in each
     triangle's plane (the boundary meets a plane in a circle); other regions
-    go through recursive subdivision against the membership indicator.
+    go through level-synchronous subdivision against the membership
+    indicator (`_subdiv_mass`).
     """
     R = _effective_region(C, R)
     mult = C.multiplicities
@@ -442,18 +482,6 @@ def _eval_form_many(psi, points: np.ndarray) -> np.ndarray:
         v = psi(x)
         out.append(v.coeffs if isinstance(v, MultiForm) else np.asarray(v))
     return np.array(out)
-
-
-def _midpoint_children(corners):
-    """The four midpoint children of each triangle in (n, 3, m) corners."""
-    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
-    m01, m12, m20 = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    return [
-        np.stack([a, m01, m20], axis=1),
-        np.stack([m01, b, m12], axis=1),
-        np.stack([m20, m12, c], axis=1),
-        np.stack([m01, m12, m20], axis=1),
-    ]
 
 
 def _quad_integrate(corners, tangents, areas, mults, fn, refine_tol=1e-9):
@@ -514,31 +542,19 @@ def integrate(C: TriCurrent, fn, R: Region | None = None, refine_tol=1e-9) -> fl
         fn,
         refine_tol,
     )
-    # frontier of sub-triangles: corners (n, 3, m), owning triangle, area
-    owner = np.nonzero(~all_in)[0]
-    tri = corners[owner]
-    area = C.areas[owner]
-    inn = verts_in[owner]
-    leaves = []
-    for depth in range(_INTEGRATE_MAX_DEPTH + 1):
-        if depth > 0:
-            inn = R.indicator(tri)
-        done = (
-            np.all(inn, axis=1)
-            | ~np.any(inn, axis=1)
+
+    def is_leaf(depth, inn, area):
+        verts = inn[:, :3]
+        return (
+            np.all(verts, axis=1)
+            | ~np.any(verts, axis=1)
             | (depth == _INTEGRATE_MAX_DEPTH)
         )
-        leaves.append((tri[done], owner[done], area[done]))
-        tri, owner, area = tri[~done], owner[~done], area[~done] / 4.0
-        if len(tri) == 0:
-            break
-        tri = np.concatenate(_midpoint_children(tri))
-        owner = np.tile(owner, 4)
-        area = np.tile(area, 4)
 
-    tri = np.concatenate([lv[0] for lv in leaves])
-    owner = np.concatenate([lv[1] for lv in leaves])
-    area = np.concatenate([lv[2] for lv in leaves])
+    owner = np.nonzero(~all_in)[0]
+    tri, owner, area, _ = _subdivide(
+        corners[owner], owner, C.areas[owner], R, is_leaf
+    )
     pts = np.einsum("qb,lbm->lqm", TRI_QUAD_POINTS, tri)
     inn = R.indicator(pts)
     hit = np.any(inn, axis=1)

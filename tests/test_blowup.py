@@ -8,6 +8,7 @@ import pytest
 from curlab import blowup as bl
 from curlab import currents as cur
 from curlab import examples as ex
+from curlab import exterior as xt
 
 X0 = np.zeros(4)
 
@@ -142,6 +143,25 @@ def test_hopf_mass_non_complex_surface():
     C = ex.nonholo_graph(h=0.04)
     hm = bl.hopf_projection_mass(C, X0, 0.3, 0.6)
     assert hm > 0.1
+
+
+def test_frame_cache_many_matches_plane_basis(cusp):
+    """Frames looked up once per distinct row equal a per-row plane_basis."""
+    t = cusp.tangents
+    frames = bl._FrameCache(4)  # shared, so later cases also hit the memo
+    for rows in (
+        t[[0, 0, 0, 0, 5, 5, 9]],  # consecutive repeats
+        t[[3, 7, 3, 1, 7, 7, 3]],  # repeats that are not consecutive
+        t[[4]],
+        np.repeat(t[:40], 7, axis=0),  # one row per quadrature point
+    ):
+        e1, e2 = frames.many(rows)
+        want = [xt.plane_basis(xt.MultiVector(4, 2, row)) for row in rows]
+        assert e1.shape == e2.shape == (len(rows), 4)
+        assert e1.tobytes() == np.array([w[0] for w in want]).tobytes()
+        assert e2.tobytes() == np.array([w[1] for w in want]).tobytes()
+    e1, e2 = bl._FrameCache(4).many(np.zeros((0, 6)))
+    assert e1.shape == e2.shape == (0, 4)
 
 
 def test_directions_single_line(disk):

@@ -347,6 +347,48 @@ def _integrate_reference(C, fn, R=None, refine_tol=1e-9):
     return acc
 
 
+def _subdiv_mass_reference(C, R, rel_tol=1e-4):
+    """The recursive, one-triangle-at-a-time form of `cur._subdiv_mass`.
+
+    Same tree, leaf rule and depth cap as the level-synchronous form in the
+    package; kept here as the oracle it is pinned against.
+    """
+    total = C.total_mass()
+    corners = C.corners()
+    verts_in = R.indicator(C.corners())
+    cents_in = R.indicator(C.centroids)
+    all_in = np.all(verts_in, axis=1) & cents_in
+    all_out = np.all(~verts_in, axis=1) & ~cents_in
+    acc = float(np.sum(C.areas[all_in] * C.multiplicities[all_in]))
+    mixed = np.nonzero(~(all_in | all_out))[0]
+    max_depth = 9
+
+    def rec(tri, area, depth):
+        inn = R.indicator(tri)
+        cen = tri.mean(axis=0)
+        cin = bool(R.indicator(cen))
+        if depth >= 2 and (np.all(inn) and cin):
+            return area
+        if depth >= 2 and (not np.any(inn) and not cin):
+            return 0.0
+        if depth >= max_depth or area <= rel_tol * rel_tol * max(total, 1e-12):
+            return area if cin else 0.0
+        m01 = 0.5 * (tri[0] + tri[1])
+        m12 = 0.5 * (tri[1] + tri[2])
+        m20 = 0.5 * (tri[2] + tri[0])
+        q = area / 4.0
+        return (
+            rec(np.array([tri[0], m01, m20]), q, depth + 1)
+            + rec(np.array([m01, tri[1], m12]), q, depth + 1)
+            + rec(np.array([m20, m12, tri[2]]), q, depth + 1)
+            + rec(np.array([m01, m12, m20]), q, depth + 1)
+        )
+
+    for k in mixed:
+        acc += C.multiplicities[k] * rec(corners[k], float(C.areas[k]), 0)
+    return acc
+
+
 def _random_region(rng, kind, m):
     center = 0.3 * rng.standard_normal(m)
     if kind == "ball":
@@ -396,3 +438,36 @@ def test_property_integrate_matches_recursive_reference(seed, kind):
     want = _integrate_reference(C, fn, R)
     scale = _integrate_reference(C, lambda p, t: np.abs(fn(p, t)), R)
     assert abs(got - want) <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(["ball", "annulus", "cone_complement", "dilated"]),
+    st.sampled_from([1e-4, 1e-2]),
+)
+def test_property_subdiv_mass_matches_recursive_reference(seed, kind, rel_tol):
+    """The level-synchronous _subdiv_mass agrees with the recursive one.
+
+    `mass` clips balls and annuli exactly, so those go to `_subdiv_mass`
+    directly. A mesh has at most three triangles because the recursive
+    oracle costs about 0.1 s per triangle the region boundary crosses.
+    rel_tol = 1e-2 retires leaves by area before depth 9.
+    """
+    rng = np.random.default_rng(seed)
+    m = 4
+    n = rng.integers(1, 4)
+    pts = rng.standard_normal((6, m))
+    tris = [tuple(rng.choice(6, 3, replace=False)) for _ in range(n)]
+    C = cur.TriCurrent(pts, tris, rng.choice([-2, -1, 1, 2, 3], n))
+    if kind == "dilated":
+        # the clip ball of a dilated current turns the cone complement into
+        # an intersect region
+        C = cur.dilate(C, C.centroids[rng.integers(n)], rng.uniform(0.5, 2.0))
+        R = cur._effective_region(C, _random_region(rng, "cone_complement", m))
+        assert R.kind == "intersect"
+    else:
+        R = _random_region(rng, kind, m)
+    got = cur._subdiv_mass(C, R, rel_tol)
+    want = _subdiv_mass_reference(C, R, rel_tol)
+    assert abs(got - want) <= 1e-12 * C.total_mass()
