@@ -7,4 +7,5 @@ of pseudo-holomorphic maps, with a CLI front end emitting CSV traces.
 
 __version__ = "0.1.0"
 
-from ._clip import BACKEND as clip_backend  # noqa: F401
+# the triangle/disk clip kernel (`curlab._clip`) is plain numpy
+clip_backend = "numpy"

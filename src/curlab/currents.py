@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._clip import tri_disk_area
+from ._clip import tri_disk_area  # noqa: F401  (perfbench/tracing.py wraps it)
+from ._clip import tri_disk_areas
 from .exterior import MultiForm, pairs2
 
 __all__ = [
@@ -319,19 +320,14 @@ def _ball_clip_areas(C: TriCurrent, center, r: float) -> np.ndarray:
     cx = np.einsum("ij,ij->i", crel, u1)
     cy = np.einsum("ij,ij->i", crel, u2)
     off2 = np.einsum("ij,ij->i", crel, crel) - cx * cx - cy * cy
-    Tc = T[idx]
-    for k in range(len(idx)):
-        o2 = off2[k]
-        if o2 >= r * r:
-            continue
-        rp = math.sqrt(r * r - o2)
-        # triangle vertices in plane coordinates, disk center at origin
-        p = V[Tc[k]] - a[k]
-        xs = p @ u1[k] - cx[k]
-        ys = p @ u2[k] - cy[k]
-        out[idx[k]] = abs(
-            tri_disk_area(xs[0], ys[0], xs[1], ys[1], xs[2], ys[2], rp)
-        )
+    near = off2 < r * r  # the plane meets the ball in a disk of radius rp
+    idx, a, u1, u2, cx, cy = idx[near], a[near], u1[near], u2[near], cx[near], cy[near]
+    rp = np.sqrt(r * r - off2[near])
+    # triangle vertices in plane coordinates, disk center at origin
+    p = V[T[idx]] - a[:, None, :]
+    x = np.einsum("nkj,nj->nk", p, u1) - cx[:, None]
+    y = np.einsum("nkj,nj->nk", p, u2) - cy[:, None]
+    out[idx] = np.abs(tri_disk_areas(np.stack([x, y], axis=2), rp))
     return out
 
 
@@ -349,22 +345,20 @@ def _cylinder_clip_areas(C: TriCurrent, center, r: float, axes) -> np.ndarray:
     edges = np.linalg.norm(q - q[:, [1, 2, 0], :], axis=2).max(axis=1)
     candidate = ~inside & (d.min(axis=1) < r + edges)
     idx = np.nonzero(candidate)[0]
-    for k in idx:
-        v = q[k]
-        signed2 = 0.5 * (
-            (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1])
-            - (v[2, 0] - v[0, 0]) * (v[1, 1] - v[0, 1])
-        )
-        if abs(signed2) < 1e-12 * max(C.areas[k], 1e-12):
-            # projection degenerate; the cylinder wall crosses an edge-on
-            # triangle. Fall back to a membership vote at the centroid.
-            cen = v.mean(axis=0)
-            out[k] = C.areas[k] if np.linalg.norm(cen) <= r else 0.0
-            continue
-        clipped = abs(
-            tri_disk_area(v[0, 0], v[0, 1], v[1, 0], v[1, 1], v[2, 0], v[2, 1], r)
-        )
-        out[k] = C.areas[k] * min(clipped / abs(signed2), 1.0)
+    v = q[idx]
+    signed2 = 0.5 * (
+        (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
+        - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
+    )
+    areas = C.areas[idx]
+    # a degenerate projection: the cylinder wall crosses an edge-on
+    # triangle, which counts whole or not at all by its centroid
+    edge_on = np.abs(signed2) < 1e-12 * np.maximum(areas, 1e-12)
+    vote = np.where(np.linalg.norm(v.mean(axis=1), axis=1) <= r, areas, 0.0)
+    clipped = np.abs(tri_disk_areas(v, r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.minimum(clipped / np.abs(signed2), 1.0)
+    out[idx] = np.where(edge_on, vote, areas * share)
     return out
 
 

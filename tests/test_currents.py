@@ -1,12 +1,14 @@
 """Triangle 2-currents: mass, pairing, slicing, decomposition, Poincare."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curlab import _clip as clip
 from curlab import currents as cur
 from curlab import examples as ex
 from curlab import exterior as xt
@@ -78,6 +80,50 @@ def test_graph_mass_closed_form():
     r = 0.5
     got = cur.mass(C, cur.Region.cylinder(np.zeros(4), r))
     assert got == pytest.approx(math.pi * r**2 + 2 * math.pi * r**4, rel=5e-3)
+
+
+def test_flat_disk_off_plane_ball_mass(disk):
+    # a ball whose center sits at distance s off the disk's plane meets it
+    # in a disk of radius sqrt(r^2 - s^2), or not at all for s >= r
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        r = rng.uniform(0.2, 0.7)
+        s = rng.uniform(0.0, r)
+        alpha = rng.uniform(0.0, 2 * math.pi)
+        shift = rng.uniform(-1.0, 1.0, 2) * (0.95 - math.sqrt(r * r - s * s)) / 2
+        center = np.array(
+            [shift[0], shift[1], s * math.cos(alpha), s * math.sin(alpha)]
+        )
+        got = cur.mass(disk, cur.Region.ball(center, r))
+        assert got == pytest.approx(math.pi * (r * r - s * s), rel=1e-12)
+        for s_out in (r * (1 + 1e-9), 1.5 * r):
+            center[2:] = s_out * math.cos(alpha), s_out * math.sin(alpha)
+            assert cur.mass(disk, cur.Region.ball(center, r)) == 0.0
+
+
+def test_cylinder_edge_on_triangles_vote_by_centroid():
+    # two triangles in the x1-x3 plane project onto segments of the x1-x2
+    # plane and straddle the wall of the radius-0.5 cylinder; the centroid
+    # of the first projects inside, that of the second outside. The third
+    # lies in the x1-x2 plane and holds the quarter disk of radius 0.5.
+    verts = [
+        [-0.6, 0, 0, 0], [0.6, 0, 0, 0], [0, 0, 1, 0],
+        [0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 1, 0],
+        [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0],
+    ]
+    R = cur.Region.cylinder(np.zeros(4), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parts = [
+            cur.mass(cur.TriCurrent(verts, [tri], [1]), R)
+            for tri in [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+        ]
+        both = cur.mass(cur.TriCurrent(verts, [(0, 1, 2), (3, 4, 5), (6, 7, 8)],
+                                       [1, 1, 1]), R)
+    assert parts[0] == pytest.approx(0.6, rel=1e-12)
+    assert parts[1] == 0.0
+    assert parts[2] == pytest.approx(math.pi / 16, rel=1e-12)
+    assert both == pytest.approx(0.6 + math.pi / 16, rel=1e-12)
 
 
 def test_pair_constant_forms(disk):
@@ -471,3 +517,105 @@ def test_property_subdiv_mass_matches_recursive_reference(seed, kind, rel_tol):
     got = cur._subdiv_mass(C, R, rel_tol)
     want = _subdiv_mass_reference(C, R, rel_tol)
     assert abs(got - want) <= 1e-12 * C.total_mass()
+
+
+def _tri_disk_area_reference(ax, ay, bx, by, cx, cy, r):
+    """The scalar per-edge walk of `tri_disk_areas`, one triangle at a time.
+
+    Signed area of triangle (A, B, C) intersected with the disk |P| <= r;
+    kept here as the oracle the vectorized kernel is pinned against.
+    """
+    r2 = r * r
+
+    def edge(ax, ay, bx, by):
+        # sub-segment split points where |P| = r along A + t(B - A)
+        dx = bx - ax
+        dy = by - ay
+        qa = dx * dx + dy * dy
+        ts = []
+        if qa > 0.0:
+            qb = ax * dx + ay * dy
+            qc = ax * ax + ay * ay - r2
+            disc = qb * qb - qa * qc
+            if disc > 0.0:
+                sq = math.sqrt(disc)
+                t0 = (-qb - sq) / qa
+                t1 = (-qb + sq) / qa
+                if 0.0 < t0 < 1.0:
+                    ts.append(t0)
+                if 0.0 < t1 < 1.0:
+                    ts.append(t1)
+        total = 0.0
+        t_prev = 0.0
+        px, py = ax, ay
+        for t in ts + [1.0]:
+            qx = ax + t * dx
+            qy = ay + t * dy
+            mx = ax + 0.5 * (t_prev + t) * dx
+            my = ay + 0.5 * (t_prev + t) * dy
+            cross = px * qy - py * qx
+            if mx * mx + my * my <= r2:
+                total += 0.5 * cross
+            else:
+                total += 0.5 * r2 * math.atan2(cross, px * qx + py * qy)
+            px, py = qx, qy
+            t_prev = t
+        return total
+
+    return edge(ax, ay, bx, by) + edge(bx, by, cx, cy) + edge(cx, cy, ax, ay)
+
+
+def _random_clip_case(rng, kind, n):
+    """n triangles (n, 3, 2) and radii (n,) of one kind of clip geometry."""
+    r = rng.uniform(0.1, 2.0, n)
+    tris = rng.uniform(-1.5, 1.5, (n, 1, 2)) + rng.uniform(-0.8, 0.8, (n, 3, 2))
+    if kind == "vertex_on_circle":
+        r = np.linalg.norm(tris[np.arange(n), rng.integers(0, 3, n)], axis=1)
+    elif kind == "tangent_edge":
+        # the line through A and B touches the circle at r * (cos, sin)
+        phi = rng.uniform(0, 2 * math.pi, n)
+        normal = np.column_stack([np.cos(phi), np.sin(phi)])
+        along = np.column_stack([-np.sin(phi), np.cos(phi)])
+        s = rng.uniform(-1.0, 1.0, (n, 2))
+        tris[:, 0] = r[:, None] * normal + s[:, :1] * along
+        tris[:, 1] = r[:, None] * normal + s[:, 1:] * along
+    elif kind == "zero_length_edge":
+        tris[:, 1] = tris[:, 0]
+    elif kind == "disk_inside":
+        # inradius 1.5 r, jittered by at most 0.2 r
+        phi = rng.uniform(0, 2 * math.pi, (n, 1)) + 2 * math.pi * np.arange(3) / 3
+        tris = 3 * r[:, None, None] * np.stack([np.cos(phi), np.sin(phi)], axis=2)
+        tris += rng.uniform(-0.1, 0.1, (n, 3, 2)) * r[:, None, None]
+    elif kind == "triangle_inside":
+        tris = rng.uniform(-0.5, 0.5, (n, 3, 2))
+        r = rng.uniform(1.5, 3.0, n)
+    return tris, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(["random", "vertex_on_circle", "tangent_edge",
+                     "zero_length_edge", "disk_inside", "triangle_inside"]),
+    st.booleans(),
+)
+def test_property_tri_disk_areas_matches_reference(seed, kind, flip):
+    """The vectorized clip kernel agrees with the scalar edge walk."""
+    rng = np.random.default_rng(seed)
+    n = 16
+    tris, r = _random_clip_case(rng, kind, n)
+    if flip:  # the other orientation
+        tris = tris[:, ::-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = clip.tri_disk_areas(tris, r)
+    want = [_tri_disk_area_reference(*tris[k].ravel(), r[k]) for k in range(n)]
+    assert got.shape == (n,)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(r * r, 1.0))
+    if kind == "disk_inside":  # counterclockwise unless flipped
+        sign = -1.0 if flip else 1.0
+        assert np.allclose(sign * got, np.pi * r * r, rtol=1e-12)
+    if kind == "triangle_inside":
+        e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+        signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        assert np.allclose(got, signed, rtol=1e-12, atol=1e-15)
