@@ -17,7 +17,8 @@ from scipy.optimize import curve_fit, linprog
 from scipy.spatial import cKDTree
 
 from . import currents as cur
-from .exterior import MultiVector, blades, plane_basis
+from .exterior import blades, plane_frames
+from .exterior import plane_basis  # noqa: F401  (perfbench/tracing.py wraps it)
 
 __all__ = [
     "DensityTrace",
@@ -102,8 +103,7 @@ class RateFit:
 
 
 def _mesh_scale(C: cur.TriCurrent) -> float:
-    P = C.corners()
-    return float(np.linalg.norm(P - P[:, [1, 2, 0], :], axis=2).max())
+    return float(C.longest_edges.max())
 
 
 def density_trace(C: cur.TriCurrent, x0, r_max: float, N: int = 8,
@@ -219,45 +219,6 @@ def _complex_rows(x: np.ndarray) -> np.ndarray:
     return x[..., 0::2] + 1j * x[..., 1::2]
 
 
-class _FrameCache:
-    """Plane bases for tangent 2-vector coefficient rows, memoized."""
-
-    def __init__(self, m):
-        self.m = m
-        self.cache = {}
-
-    def get(self, row):
-        key = row.tobytes()
-        got = self.cache.get(key)
-        if got is None:
-            got = plane_basis(MultiVector(self.m, 2, row))
-            self.cache[key] = got
-        return got
-
-    def many(self, tangents):
-        """Frames (e1, e2), each (P, m), for the rows of tangents (P, n2).
-
-        `get` runs once per distinct row. Rows are told apart by their bytes,
-        as the memo keys are, so the frames are those `get` gives row by row.
-        """
-        tangents = np.ascontiguousarray(tangents, dtype=float)
-        row_bytes = tangents.shape[1] * tangents.itemsize
-        keys = tangents.view(np.dtype((np.void, row_bytes))).ravel()
-        # integrate hands over each tangent once per quadrature point of a
-        # leaf, so first collapse runs of equal rows
-        starts = np.ones(len(keys), dtype=bool)
-        starts[1:] = keys[1:] != keys[:-1]
-        run_rows = np.nonzero(starts)[0]
-        _, first, inverse = np.unique(
-            keys[run_rows], return_index=True, return_inverse=True
-        )
-        frames = [self.get(tangents[run_rows[k]]) for k in first]
-        e1 = np.array([f[0] for f in frames]).reshape(len(frames), self.m)
-        e2 = np.array([f[1] for f in frames]).reshape(len(frames), self.m)
-        row_frame = inverse[np.cumsum(starts) - 1]
-        return e1[row_frame], e2[row_frame]
-
-
 def _projection_gram(rel, e1, e2):
     """Pullback inner products of the projectivization map x -> [x].
 
@@ -289,11 +250,10 @@ def hopf_projection_mass(C: cur.TriCurrent, x0, s: float, r: float) -> float:
     if not 0 < s < r:
         raise ValueError("need 0 < s < r")
     x0 = np.asarray(x0, dtype=float)
-    frames = _FrameCache(C.m)
 
     def fn(points, tangents):
         rel = points - x0
-        e1, e2 = frames.many(tangents)
+        e1, e2 = plane_frames(tangents, C.m)
         g11, g22, g12 = _projection_gram(rel, e1, e2)
         return np.sqrt(np.maximum(g11 * g22 - g12**2, 0.0))
 
@@ -306,11 +266,10 @@ def gradient_energy_density(C: cur.TriCurrent, x0):
     Returns fn(points, tangents) suitable for currents.integrate.
     """
     x0 = np.asarray(x0, dtype=float)
-    frames = _FrameCache(C.m)
 
     def fn(points, tangents):
         rel = points - x0
-        e1, e2 = frames.many(tangents)
+        e1, e2 = plane_frames(tangents, C.m)
         g11, g22, _ = _projection_gram(rel, e1, e2)
         return g11 + g22
 

@@ -135,11 +135,12 @@ class TubularField(CalibrationField):
     """
 
     BAND = 0.025  # barycentric half-width of the edge blending band
+    K_CANDIDATES = 12  # nearest centroids searched for the nearest triangle
 
-    def __init__(self, S: cur.TriCurrent, delta: float, k_candidates: int = 12):
+    def __init__(self, S: cur.TriCurrent, delta: float):
         self.S = S
         self.delta = float(delta)
-        self.k = min(k_candidates, len(S))
+        self.k = min(self.K_CANDIDATES, len(S))
         self.tree = cKDTree(S.centroids)
         # adjacency across edges: for triangle t and local edge opposite
         # vertex slot s, the neighboring triangle index (or -1)

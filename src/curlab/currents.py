@@ -18,7 +18,7 @@ import numpy as np
 
 from ._clip import tri_disk_area  # noqa: F401  (perfbench/tracing.py wraps it)
 from ._clip import tri_disk_areas
-from .exterior import MultiForm, pairs2
+from .exterior import MultiForm, pairs2, plane_frames
 
 __all__ = [
     "TriCurrent",
@@ -100,6 +100,9 @@ class TriCurrent:
         if np.any(self.areas < _MIN_AREA):
             raise ValueError("degenerate triangle (area below 1e-14)")
         self.tangents = skew / norms[:, None]  # unit 2-vector coefficients
+        # how far a triangle reaches past its nearest vertex
+        sq = [np.einsum("ij,ij->i", e, e) for e in (u, w, w - u)]
+        self.longest_edges = np.sqrt(np.maximum(np.maximum(sq[0], sq[1]), sq[2]))
         self.centroids = (V[T[:, 0]] + V[T[:, 1]] + V[T[:, 2]]) / 3.0
 
     def __len__(self):
@@ -281,19 +284,6 @@ def _effective_region(C: TriCurrent, R: Region | None) -> Region:
     return Region.intersect(R, clip)
 
 
-def _plane_frames(C: TriCurrent, idx: np.ndarray):
-    """Orthonormal in-plane bases (u1, u2) for the selected triangles."""
-    V = C.vertices
-    T = C.triangles[idx]
-    a = V[T[:, 0]]
-    e1 = V[T[:, 1]] - a
-    e2 = V[T[:, 2]] - a
-    u1 = e1 / np.linalg.norm(e1, axis=1)[:, None]
-    e2p = e2 - np.einsum("ij,ij->i", e2, u1)[:, None] * u1
-    u2 = e2p / np.linalg.norm(e2p, axis=1)[:, None]
-    return a, u1, u2
-
-
 def _ball_clip_areas(C: TriCurrent, center, r: float) -> np.ndarray:
     """Exact per-triangle area inside the ball B_r(center)."""
     center = np.asarray(center, dtype=float)
@@ -301,21 +291,16 @@ def _ball_clip_areas(C: TriCurrent, center, r: float) -> np.ndarray:
     T = C.triangles
     vd = np.linalg.norm(V, axis=1)
     d = vd[T]  # (T, 3) vertex distances
-    areas = np.array(C.areas)
     out = np.zeros(len(T))
     inside = np.all(d <= r, axis=1)
-    out[inside] = areas[inside]
+    out[inside] = C.areas[inside]
     # cheap reject: min vertex distance minus the longest edge
-    P = V[T]
-    edges = np.linalg.norm(
-        P - P[:, [1, 2, 0], :], axis=2
-    ).max(axis=1)
-    candidate = ~inside & (d.min(axis=1) < r + edges)
+    candidate = ~inside & (d.min(axis=1) < r + C.longest_edges)
     idx = np.nonzero(candidate)[0]
     if len(idx) == 0:
         return out
-    a, u1, u2 = _plane_frames(C, idx)
-    a = a - center  # first vertex in center-relative coordinates
+    u1, u2 = plane_frames(C.tangents[idx], C.m)
+    a = V[T[idx, 0]]  # first vertex in center-relative coordinates
     crel = -a  # center relative to the triangle's first vertex
     cx = np.einsum("ij,ij->i", crel, u1)
     cy = np.einsum("ij,ij->i", crel, u2)
@@ -467,18 +452,15 @@ def _eval_form_many(psi, points: np.ndarray) -> np.ndarray:
     """Evaluate a 2-form field at many points; returns (P, n2) coefficients."""
     if isinstance(psi, MultiForm):
         return np.broadcast_to(psi.coeffs, (len(points), len(psi.coeffs)))
-    if hasattr(psi, "evaluate_many"):
-        return psi.evaluate_many(points)
-    if hasattr(psi, "evaluate"):
-        return np.array([psi.evaluate(x).coeffs for x in points])
-    out = []
-    for x in points:
-        v = psi(x)
-        out.append(v.coeffs if isinstance(v, MultiForm) else np.asarray(v))
-    return np.array(out)
+    return psi.evaluate_many(points)
 
 
-def _quad_integrate(corners, tangents, areas, mults, fn, refine_tol=1e-9):
+# relative change of a triangle's mean value that makes the quadrature keep
+# its refined estimate
+_REFINE_TOL = 1e-9
+
+
+def _quad_integrate(corners, tangents, areas, mults, fn):
     """Order-7 quadrature of a scalar field with one adaptive refinement pass.
 
     fn(points (P, m), tangents (P, n2)) -> (P,) values.
@@ -497,7 +479,7 @@ def _quad_integrate(corners, tangents, areas, mults, fn, refine_tol=1e-9):
     # refinement pass: re-estimate on 4 children, keep where it matters
     fine = sum(once(ch) for ch in _midpoint_children(corners)) / 4.0
     scale = np.abs(coarse).max() if len(coarse) else 1.0
-    use_fine = np.abs(fine - coarse) > refine_tol * max(scale, 1e-30)
+    use_fine = np.abs(fine - coarse) > _REFINE_TOL * max(scale, 1e-30)
     est = np.where(use_fine, fine, coarse)
     return float(np.sum(est * areas * mults))
 
@@ -505,7 +487,7 @@ def _quad_integrate(corners, tangents, areas, mults, fn, refine_tol=1e-9):
 _INTEGRATE_MAX_DEPTH = 5
 
 
-def integrate(C: TriCurrent, fn, R: Region | None = None, refine_tol=1e-9) -> float:
+def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
     """Integral over ||C|| restricted to R of a pointwise scalar field.
 
     fn(points (P, m), tangents (P, n2)) -> (P,); tangents are the unit
@@ -523,9 +505,7 @@ def integrate(C: TriCurrent, fn, R: Region | None = None, refine_tol=1e-9) -> fl
     R = _effective_region(C, R)
     corners = C.corners()
     if R.kind == "full":
-        return _quad_integrate(
-            corners, C.tangents, C.areas, C.multiplicities, fn, refine_tol
-        )
+        return _quad_integrate(corners, C.tangents, C.areas, C.multiplicities, fn)
     verts_in = R.indicator(corners)
     all_in = np.all(verts_in, axis=1)
     acc = _quad_integrate(
@@ -534,7 +514,6 @@ def integrate(C: TriCurrent, fn, R: Region | None = None, refine_tol=1e-9) -> fl
         C.areas[all_in],
         C.multiplicities[all_in],
         fn,
-        refine_tol,
     )
 
     def is_leaf(depth, inn, area):
@@ -561,11 +540,11 @@ def integrate(C: TriCurrent, fn, R: Region | None = None, refine_tol=1e-9) -> fl
     return acc + float(np.sum(per_leaf * area * C.multiplicities[owner]))
 
 
-def pair(C: TriCurrent, psi, R: Region | None = None, refine_tol=1e-9) -> float:
+def pair(C: TriCurrent, psi, R: Region | None = None) -> float:
     """Pairing <C |_ R, psi> for a 2-form field psi.
 
-    psi may be a constant MultiForm, an object with evaluate()/evaluate_many(),
-    or a plain callable point -> MultiForm.
+    psi is a constant MultiForm or a field whose evaluate_many(points (P, m))
+    returns coefficient rows (P, n2).
     """
     if isinstance(psi, MultiForm):
         Reff = _effective_region(C, R)
@@ -579,7 +558,7 @@ def pair(C: TriCurrent, psi, R: Region | None = None, refine_tol=1e-9) -> float:
         vals = _eval_form_many(psi, points)
         return np.einsum("pc,pc->p", vals, tangents)
 
-    return integrate(C, fn, R, refine_tol)
+    return integrate(C, fn, R)
 
 
 def boundary(C: TriCurrent) -> Polyline1Current:
@@ -607,10 +586,8 @@ def dilate(C: TriCurrent, x0, r: float) -> TriCurrent:
     x0 = np.asarray(x0, dtype=float)
     V = (C.vertices - x0) / r
     # drop triangles that cannot meet the unit ball
-    P = V[C.triangles]
-    dmin = np.linalg.norm(P, axis=2).min(axis=1)
-    diam = np.linalg.norm(P - P[:, [1, 2, 0], :], axis=2).max(axis=1)
-    keep = dmin <= 1.0 + diam
+    dmin = np.linalg.norm(V, axis=1)[C.triangles].min(axis=1)
+    keep = dmin <= 1.0 + C.longest_edges / r
     T = C.triangles[keep]
     used = np.unique(T)
     remap = np.zeros(len(V), dtype=int)

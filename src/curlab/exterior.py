@@ -47,6 +47,7 @@ __all__ = [
     "vectest_constant",
     "split_near_calibrated",
     "plane_basis",
+    "plane_frames",
 ]
 
 # Single shared tolerance for "calibrated": defect at most this much.
@@ -404,6 +405,38 @@ def plane_basis(xi: MultiVector, tol: float = 1e-9):
     if float(xef.coeffs @ xi.coeffs) < 0:
         f = -f
     return e, f
+
+
+def plane_frames(tangents: np.ndarray, m: int):
+    """Orthonormal (e, f), each (P, m), with e ^ f the unit simple rows.
+
+    The batched `plane_basis` for rows (P, n2) of unit simple 2-vectors,
+    without its simplicity check. The skew matrix of a row is
+    A = e f^T - f e^T, so each of its columns lies in the plane: e is the
+    longest column normalized (its squared length, the sum of the row's
+    squares over the pairs holding that index, is at least 2/m), and
+    f = -A e normalized, which makes e ^ f the row. The loops run over the
+    coefficient pairs on (m, P) arrays; no (P, m, m) matrix is built.
+    """
+    t = np.asarray(tangents, dtype=float).T  # one row per coefficient pair
+    pairs = list(zip(*pairs2(m)))
+    col2 = np.zeros((m, t.shape[1]))
+    for k, (a, b) in enumerate(pairs):
+        t2 = t[k] * t[k]
+        col2[a] += t2
+        col2[b] += t2
+    c = np.argmax(col2, axis=0)
+    e = np.zeros_like(col2)
+    for k, (a, b) in enumerate(pairs):
+        e[a] += np.where(c == b, t[k], 0.0)  # A[a, c] = t_ac
+        e[b] -= np.where(c == a, t[k], 0.0)  # A[b, c] = -t_cb
+    e /= np.sqrt(np.einsum("ap,ap->p", e, e))
+    f = np.zeros_like(e)
+    for k, (a, b) in enumerate(pairs):
+        f[a] -= t[k] * e[b]
+        f[b] += t[k] * e[a]
+    f /= np.sqrt(np.einsum("ap,ap->p", f, f))
+    return e.T, f.T
 
 
 def _complex_rows(m: int) -> np.ndarray:

@@ -327,19 +327,21 @@ class AlmostComplexField:
     """Domain almost complex structure J(x) with J(0) the standard one.
 
     Built as a conjugation J = T J0 T^{-1} so that J^2 = -Id holds exactly;
-    the deviation from J0 grows linearly with a configurable slope.
+    the deviation from J0 grows linearly with a configurable slope. The
+    structure is one batched function, points (P, 4) -> matrices (P, 4, 4).
     """
 
-    def __init__(self, matrix_fn, slope: float = 0.0, matrix_many_fn=None):
+    def __init__(self, matrix_many_fn, slope: float = 0.0):
         self.J0 = target_structure(4)
-        self._fn = matrix_fn
         self._many = matrix_many_fn
         self.slope = slope
 
     @staticmethod
     def standard() -> "AlmostComplexField":
         J0 = target_structure(4)
-        return AlmostComplexField(lambda x: J0, slope=0.0)
+        return AlmostComplexField(
+            lambda pts: np.broadcast_to(J0, (len(pts), 4, 4)), slope=0.0
+        )
 
     @staticmethod
     def perturbed(c: float, seed: int = 11) -> "AlmostComplexField":
@@ -349,38 +351,31 @@ class AlmostComplexField:
         K = rng.normal(size=(4, 4))
         K /= np.linalg.norm(K, 2)
 
-        def fn(x):
-            T = np.eye(4) + c * x[0] * K
-            return T @ J0 @ np.linalg.inv(T)
-
         def many(pts):
             T = np.eye(4)[None] + c * pts[:, 0, None, None] * K[None]
             return T @ J0 @ np.linalg.inv(T)
 
-        return AlmostComplexField(fn, slope=c, matrix_many_fn=many)
+        return AlmostComplexField(many, slope=c)
 
     @staticmethod
-    def from_diffeo(jac_fn, slope: float) -> "AlmostComplexField":
-        """Pullback structure (D psi)^{-1} J0 (D psi) of a domain diffeo."""
+    def from_diffeo(jac_many_fn, slope: float) -> "AlmostComplexField":
+        """Pullback structure (D psi)^{-1} J0 (D psi) of a domain diffeo.
+
+        jac_many_fn maps points (P, 4) to the Jacobians D psi (P, 4, 4).
+        """
         J0 = target_structure(4)
 
-        def fn(x):
-            D = jac_fn(x)
+        def many(pts):
+            D = jac_many_fn(pts)
             return np.linalg.solve(D, J0 @ D)
 
-        return AlmostComplexField(fn, slope=slope)
+        return AlmostComplexField(many, slope=slope)
 
     def matrix(self, x) -> np.ndarray:
-        return self._fn(np.asarray(x, dtype=float))
+        return self.matrix_many(np.asarray(x, dtype=float)[None])[0]
 
     def matrix_many(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if self._many is not None:
-            return self._many(points)
-        return np.array([self._fn(x) for x in points])
-
-    def deviation(self, x) -> np.ndarray:
-        return self.matrix(x) - self.J0
+        return self._many(np.asarray(points, dtype=float))
 
     def verify(self, n_samples: int = 64, seed: int = 5, radius: float = 1.0):
         """Sampled structure checks: J^2 = -Id and linear deviation growth.
@@ -392,14 +387,12 @@ class AlmostComplexField:
         pts *= radius * rng.uniform(0.05, 1, n_samples)[:, None] / np.linalg.norm(
             pts, axis=1
         )[:, None]
-        sq = 0.0
-        lin = 0.0
-        for x in pts:
-            J = self.matrix(x)
-            sq = max(sq, float(np.abs(J @ J + np.eye(4)).max()))
-            lin = max(lin, float(np.linalg.norm(J - self.J0, 2))
-                      / float(np.linalg.norm(x)))
-        return sq, lin
+        J = self.matrix_many(pts)
+        sq = np.abs(J @ J + np.eye(4)).max(initial=0.0)
+        lin = np.linalg.norm(J - self.J0, 2, axis=(1, 2)) / np.linalg.norm(
+            pts, axis=1
+        )
+        return float(sq), float(lin.max(initial=0.0))
 
 
 @dataclass
@@ -635,12 +628,11 @@ def map_example(name: str, slope: float = 0.1, **grid):
             return y[:, :2]
 
         def jac(x):
-            D = np.eye(4)
-            D = D.copy()
-            D[0, 0] += slope * x[2]
-            D[0, 2] = slope * x[0]
-            D[1, 1] += slope * x[3]
-            D[1, 3] = slope * x[1]
+            D = np.tile(np.eye(4), (len(x), 1, 1))
+            D[:, 0, 0] += slope * x[:, 2]
+            D[:, 0, 2] = slope * x[:, 0]
+            D[:, 1, 1] += slope * x[:, 3]
+            D[:, 1, 3] = slope * x[:, 1]
             return D
 
         u = SampledMap(f, **grid)

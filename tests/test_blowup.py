@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curlab import blowup as bl
 from curlab import currents as cur
@@ -145,23 +147,45 @@ def test_hopf_mass_non_complex_surface():
     assert hm > 0.1
 
 
-def test_frame_cache_many_matches_plane_basis(cusp):
-    """Frames looked up once per distinct row equal a per-row plane_basis."""
-    t = cusp.tangents
-    frames = bl._FrameCache(4)  # shared, so later cases also hit the memo
-    for rows in (
-        t[[0, 0, 0, 0, 5, 5, 9]],  # consecutive repeats
-        t[[3, 7, 3, 1, 7, 7, 3]],  # repeats that are not consecutive
-        t[[4]],
-        np.repeat(t[:40], 7, axis=0),  # one row per quadrature point
-    ):
-        e1, e2 = frames.many(rows)
-        want = [xt.plane_basis(xt.MultiVector(4, 2, row)) for row in rows]
-        assert e1.shape == e2.shape == (len(rows), 4)
-        assert e1.tobytes() == np.array([w[0] for w in want]).tobytes()
-        assert e2.tobytes() == np.array([w[1] for w in want]).tobytes()
-    e1, e2 = bl._FrameCache(4).many(np.zeros((0, 6)))
-    assert e1.shape == e2.shape == (0, 4)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([4, 6]))
+def test_property_plane_frames(cusp, seed, m):
+    """Closed-form frames span each unit simple row, oriented as the row."""
+    rng = np.random.default_rng(seed)
+    i, j = xt.pairs2(m)
+    v, w = rng.standard_normal((2, 16, m))
+    rows = v[:, i] * w[:, j] - v[:, j] * w[:, i]
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    E = np.eye(m)
+    special = [
+        xt.simple_2vector(E[0], (E[1] + E[2]) / math.sqrt(2)),  # tied columns
+        xt.simple_2vector(E[2], E[3]),  # column 0 is zero
+        xt.simple_2vector(E[m - 1], E[0]),  # a negative coefficient
+    ]
+    rows = np.concatenate([rows, [x.coeffs for x in special]])
+    if m == 4:
+        picks = rng.integers(len(cusp), size=32)
+        rows = np.concatenate([rows, cusp.tangents[picks]])
+
+    e, f = xt.plane_frames(rows, m)
+    assert e.shape == f.shape == (len(rows), m)
+    for a, b in ((e, e), (f, f)):
+        assert np.abs(np.einsum("pi,pi->p", a, b) - 1.0).max() <= 1e-14
+    assert np.abs(np.einsum("pi,pi->p", e, f)).max() <= 1e-14
+    for k, row in enumerate(rows):
+        assert np.abs(xt.simple_2vector(e[k], f[k]).coeffs - row).max() <= 1e-14
+    # the projection integrands see the same plane as through plane_basis
+    want = [xt.plane_basis(xt.MultiVector(m, 2, row)) for row in rows]
+    rel = rng.standard_normal((len(rows), m))
+    g11, g22, g12 = bl._projection_gram(rel, e, f)
+    r11, r22, r12 = bl._projection_gram(
+        rel, np.array([w[0] for w in want]), np.array([w[1] for w in want])
+    )
+    assert np.allclose(g11 * g22 - g12**2, r11 * r22 - r12**2, rtol=0, atol=1e-12)
+    assert np.allclose(g11 + g22, r11 + r22, rtol=0, atol=1e-12)
+
+    e, f = xt.plane_frames(np.zeros((0, len(i))), m)
+    assert e.shape == f.shape == (0, m)
 
 
 def test_directions_single_line(disk):

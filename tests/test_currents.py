@@ -339,7 +339,7 @@ def test_mesh_rejects_bad_records(tmp_path):
         cur.read_mesh(p)
 
 
-def _integrate_reference(C, fn, R=None, refine_tol=1e-9):
+def _integrate_reference(C, fn, R=None):
     """The recursive, one-triangle-at-a-time form of `cur.integrate`.
 
     Same tree, leaf rule and depth cap as the level-synchronous loop in the
@@ -349,7 +349,7 @@ def _integrate_reference(C, fn, R=None, refine_tol=1e-9):
     corners = C.corners()
     if R.kind == "full":
         return cur._quad_integrate(
-            corners, C.tangents, C.areas, C.multiplicities, fn, refine_tol
+            corners, C.tangents, C.areas, C.multiplicities, fn
         )
     verts_in = R.indicator(corners)
     all_in = np.all(verts_in, axis=1)
@@ -359,7 +359,6 @@ def _integrate_reference(C, fn, R=None, refine_tol=1e-9):
         C.areas[all_in],
         C.multiplicities[all_in],
         fn,
-        refine_tol,
     )
 
     def leaf(tri, tangent, area, mult):

@@ -116,6 +116,53 @@ def test_almost_complex_structure_checks():
     assert lin <= 0.2
 
 
+def test_structure_batched_matches_per_point():
+    """The batched structures equal their per-point formulas bit for bit."""
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(-1.0, 1.0, size=(300, 4))
+    J0 = jh.target_structure(4)
+    slope = 0.05
+    _, Jw = jh.map_example("z1-warped", slope=slope, n_radial=8, n_eta=4, n_phi=8)
+    want = []
+    for x in pts:
+        D = np.eye(4)
+        D[0, 0] += slope * x[2]
+        D[0, 2] = slope * x[0]
+        D[1, 1] += slope * x[3]
+        D[1, 3] = slope * x[1]
+        want.append(np.linalg.solve(D, J0 @ D))
+    assert Jw.matrix_many(pts).tobytes() == np.array(want).tobytes()
+
+    c = 0.1
+    Jp = jh.AlmostComplexField.perturbed(c, seed=11)
+    K = np.random.default_rng(11).normal(size=(4, 4))
+    K /= np.linalg.norm(K, 2)
+    want = []
+    for x in pts:
+        T = np.eye(4) + c * x[0] * K
+        want.append(T @ J0 @ np.linalg.inv(T))
+    assert Jp.matrix_many(pts).tobytes() == np.array(want).tobytes()
+
+    Js = jh.AlmostComplexField.standard()
+    for J in (Js, Jp, Jw):
+        many = J.matrix_many(pts[:20])
+        for k, x in enumerate(pts[:20]):
+            assert J.matrix(x).tobytes() == many[k].tobytes()
+        # verify() against its per-sample loop
+        draw = np.random.default_rng(5)
+        samples = draw.normal(size=(64, 4))
+        samples *= draw.uniform(0.05, 1, 64)[:, None] / np.linalg.norm(
+            samples, axis=1
+        )[:, None]
+        sq = lin = 0.0
+        for x in samples:
+            Jx = J.matrix(x)
+            sq = max(sq, float(np.abs(Jx @ Jx + np.eye(4)).max()))
+            lin = max(lin, float(np.linalg.norm(Jx - J0, 2))
+                      / float(np.linalg.norm(x)))
+        assert J.verify() == (sq, lin)
+
+
 def test_inner_variation_constant():
     u = jh.map_example("constant")
     xi = jh.radial_bump_field()
