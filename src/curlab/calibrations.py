@@ -17,9 +17,10 @@ from . import currents as cur
 from .exterior import (
     MultiForm,
     blades,
-    comass2,
+    comass2,  # noqa: F401  (perfbench/tracing.py wraps it)
     omega0,
     pairs2,
+    plane_frames,
 )
 
 __all__ = [
@@ -86,41 +87,81 @@ def _smoothstep_down(t: np.ndarray | float):
     return 1.0 - t * t * (3.0 - 2.0 * t)
 
 
-def _closest_on_triangle(p, a, b, c):
-    """Closest point of triangle (a,b,c) to p, with barycentric coordinates."""
+def _dot(u, v):
+    """Row-wise inner products over the last axis."""
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _closest_points_on_triangles(p, a, b, c):
+    """Closest points of triangles (a, b, c) to p, with barycentrics.
+
+    Ericson, Real-Time Collision Detection, 5.1.5, on arrays: p, a, b and c
+    broadcast to (..., m); returns q (..., m) and the barycentric coordinates
+    (..., 3). Each Voronoi region is a mask, a pair belongs to the first
+    region in Ericson's order whose test holds, and each region's point and
+    coordinates use his arithmetic.
+    """
     ab = b - a
     ac = c - a
     ap = p - a
-    d1 = ab @ ap
-    d2 = ac @ ap
-    if d1 <= 0 and d2 <= 0:
-        return a, (1.0, 0.0, 0.0)
     bp = p - b
-    d3 = ab @ bp
-    d4 = ac @ bp
-    if d3 >= 0 and d4 <= d3:
-        return b, (0.0, 1.0, 0.0)
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0 and d1 >= 0 and d3 <= 0:
-        v = d1 / (d1 - d3)
-        return a + v * ab, (1 - v, v, 0.0)
     cp = p - c
-    d5 = ab @ cp
-    d6 = ac @ cp
-    if d6 >= 0 and d5 <= d6:
-        return c, (0.0, 0.0, 1.0)
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0 and d2 >= 0 and d6 <= 0:
-        w = d2 / (d2 - d6)
-        return a + w * ac, (1 - w, 0.0, w)
+    d1, d2 = _dot(ab, ap), _dot(ac, ap)
+    d3, d4 = _dot(ab, bp), _dot(ac, bp)
+    d5, d6 = _dot(ab, cp), _dot(ac, cp)
     va = d3 * d6 - d5 * d4
-    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
-        w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return b + w * (c - b), (0.0, 1 - w, w)
-    denom = va + vb + vc
-    v = vb / denom
-    w = vc / denom
-    return a + ab * v + ac * w, (1 - v - w, v, w)
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+    tests = (
+        (d1 <= 0) & (d2 <= 0),  # vertex A
+        (d3 >= 0) & (d4 <= d3),  # vertex B
+        (vc <= 0) & (d1 >= 0) & (d3 <= 0),  # edge AB
+        (d6 >= 0) & (d5 <= d6),  # vertex C
+        (vb <= 0) & (d2 >= 0) & (d6 <= 0),  # edge AC
+        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),  # edge BC
+    )
+    taken = np.zeros(d1.shape, dtype=bool)
+    regions = []
+    for test in tests:
+        regions.append(test & ~taken)
+        taken |= test
+    A, B, AB, C, AC, BC = regions
+    inside = ~taken
+    # q = base + s * edge + t * ac: base is a, or b on B and BC, or c on C;
+    # edge is ab, or c - b on BC
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = va + vb + vc
+        s = np.where(inside, vb / denom, 0.0)
+        s = np.where(AB, d1 / (d1 - d3), s)
+        s = np.where(BC, (d4 - d3) / ((d4 - d3) + (d5 - d6)), s)
+        t = np.where(inside, vc / denom, 0.0)
+        t = np.where(AC, d2 / (d2 - d6), t)
+    base = np.where((B | BC)[..., None], b, np.where(C[..., None], c, a))
+    edge = np.where(BC[..., None], c - b, ab)
+    q = base + s[..., None] * edge + t[..., None] * ac
+    bary = np.stack([
+        np.where(B | C | BC, 0.0, 1 - s - t),
+        np.where(B, 1.0, np.where(BC, 1 - s, s)),
+        np.where(C, 1.0, np.where(BC, s, t)),
+    ], axis=-1)
+    return q, bary
+
+
+def _edge_neighbors(T: np.ndarray) -> np.ndarray:
+    """For triangle t and its edge opposite vertex slot s, the triangle
+    across that edge, or -1 where the edge is not shared by exactly two."""
+    n = len(T)
+    ends = np.sort(T[:, [[1, 2], [2, 0], [0, 1]]], axis=2)  # (n, 3, 2)
+    # one key per half-edge; half-edge 3 t + s is edge s of triangle t
+    keys = (ends[..., 0] * (T.max() + 1) + ends[..., 1]).ravel()
+    _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    order = np.argsort(inv, kind="stable")  # half-edges grouped by edge
+    first = (np.cumsum(counts) - counts)[counts == 2]
+    h1, h2 = order[first], order[first + 1]
+    out = np.full(3 * n, -1)
+    out[h1] = h2 // 3
+    out[h2] = h1 // 3
+    return out.reshape(n, 3)
 
 
 class TubularField(CalibrationField):
@@ -132,29 +173,27 @@ class TubularField(CalibrationField):
     continuous across edges yet exactly facet-dual at quadrature depth. A
     smooth cutoff kills the field beyond delta. Comass is renormalized to 1
     pointwise, which costs C^2 regularity at triangle interfaces.
+
+    The nearest triangle is exact: the K_CANDIDATES nearest centroids are
+    searched first, and a point is searched again with twice the candidates
+    until no triangle outside them can be nearer (or within delta).
     """
 
     BAND = 0.025  # barycentric half-width of the edge blending band
-    K_CANDIDATES = 12  # nearest centroids searched for the nearest triangle
+    K_CANDIDATES = 12  # nearest centroids searched first for the nearest triangle
+    PAIR_BLOCK = 1 << 16  # (point, candidate) pairs evaluated at once
 
     def __init__(self, S: cur.TriCurrent, delta: float):
         self.S = S
         self.delta = float(delta)
         self.k = min(self.K_CANDIDATES, len(S))
         self.tree = cKDTree(S.centroids)
-        # adjacency across edges: for triangle t and local edge opposite
-        # vertex slot s, the neighboring triangle index (or -1)
-        T = S.triangles
-        edge_map = {}
-        for t, (i, j, k) in enumerate(T):
-            for slot, (a, b) in enumerate(((j, k), (k, i), (i, j))):
-                edge_map.setdefault((min(a, b), max(a, b)), []).append((t, slot))
-        self.neighbors = -np.ones((len(T), 3), dtype=int)
-        for tris in edge_map.values():
-            if len(tris) == 2:
-                (t1, s1), (t2, s2) = tris
-                self.neighbors[t1, s1] = t2
-                self.neighbors[t2, s2] = t1
+        corners = S.corners()
+        self._abc = np.ascontiguousarray(corners.transpose(1, 0, 2))  # (3, T, m)
+        # the farthest any triangle reaches from its centroid (a vertex)
+        spokes = corners - S.centroids[:, None, :]
+        self.rho_max = float(np.sqrt(_dot(spokes, spokes).max()))
+        self.neighbors = _edge_neighbors(S.triangles)
         self._check_reach()
         constant = bool(np.ptp(S.tangents, axis=0).max() < 1e-12)
         super().__init__("tubular", S.m, None, 1.0, closed=constant,
@@ -165,80 +204,102 @@ class TubularField(CalibrationField):
 
         A nearby triangle counts as a second sheet when the offset to it
         leaves the local tangent plane; in-plane proximity is just the mesh
-        being fine.
+        being fine. Triangles sharing a vertex with the sample are skipped.
         """
-        from .exterior import plane_basis, simple_2vector, MultiVector
-
         S = self.S
         n = min(len(S), 200)
         step = max(1, len(S) // n)
         sample = np.arange(0, len(S), step)
-        corners = S.corners()
-        for t in sample:
-            p = S.centroids[t]
-            vset = set(S.triangles[t])
-            idx = self.tree.query_ball_point(p, 2 * self.delta)
-            flagged = None
-            for u in idx:
-                if u == t or vset & set(S.triangles[u]):
-                    continue
-                q, _ = _closest_on_triangle(p, *corners[u])
-                off = q - p
-                d = np.linalg.norm(off)
-                if d >= 2 * self.delta:
-                    continue
-                e1, e2 = plane_basis(MultiVector(S.m, 2, S.tangents[t]))
-                perp = off - (off @ e1) * e1 - (off @ e2) * e2
-                if np.linalg.norm(perp) > 0.5 * max(d, 1e-300):
-                    flagged = u
-                    break
-            if flagged is not None:
-                raise ValueError(
-                    "tube radius exceeds the surface reach "
-                    f"(sheets {t} and {flagged} closer than 2*delta)"
-                )
+        near = self.tree.query_ball_point(S.centroids[sample], 2 * self.delta,
+                                         return_sorted=False)
+        t = np.repeat(sample, np.fromiter(map(len, near), int, len(near)))
+        u = np.concatenate(near).astype(int)
+        T = S.triangles
+        apart = ~(T[t][:, :, None] == T[u][:, None, :]).any(axis=(1, 2))
+        t, u = t[apart], u[apart]
+        p = S.centroids[t]
+        q, _ = _closest_points_on_triangles(p, *self._abc[:, u])
+        off = q - p
+        d = np.sqrt(_dot(off, off))
+        e, f = plane_frames(S.tangents[t], S.m)
+        perp = off - _dot(off, e)[:, None] * e - _dot(off, f)[:, None] * f
+        flagged = (d < 2 * self.delta) & (
+            np.sqrt(_dot(perp, perp)) > 0.5 * np.maximum(d, 1e-300))
+        if flagged.any():
+            h = int(np.argmax(flagged))
+            raise ValueError(
+                "tube radius exceeds the surface reach "
+                f"(sheets {t[h]} and {u[h]} closer than 2*delta)"
+            )
 
-    def _nearest(self, x):
-        _, idx = self.tree.query(x, k=self.k)
-        idx = np.atleast_1d(idx)
-        corners = self.S.corners()
-        best = (np.inf, None, None)
-        for t in idx:
-            q, bary = _closest_on_triangle(x, *corners[t])
-            d = float(np.linalg.norm(x - q))
-            if d < best[0]:
-                best = (d, int(t), bary)
-        return best
+    def _locate(self, points):
+        """Distance, nearest triangle and its barycentrics, per point.
 
-    def _coeffs_at(self, x):
-        d, t, bary = self._nearest(x)
-        if d >= self.delta:
-            return np.zeros(len(blades(self.m, 2)))
-        tangents = self.S.tangents
-        coeffs = np.array(tangents[t])
-        own = 1.0
-        for slot in range(3):
-            s = float(_smoothstep_down(bary[slot] / self.BAND))
-            if s <= 0.0:
-                continue
-            nb = self.neighbors[t, slot]
-            if nb < 0:
-                continue
-            own -= 0.5 * s
-            coeffs = coeffs + 0.5 * s * (tangents[nb] - tangents[t])
-        form = MultiForm(self.m, 2, coeffs)
-        cm = comass2(form)
-        if cm <= 0:
-            return np.zeros_like(coeffs)
-        eta = float(_smoothstep_down((d - 0.5 * self.delta) / (0.5 * self.delta)))
-        return (eta / cm) * np.asarray(form.coeffs)
+        A point is certified when min(distance, delta) <= d_k - rho_max,
+        with d_k its k-th centroid distance: every triangle outside the k
+        candidates is then at least that far. Uncertified points are
+        searched again with k doubled, up to every triangle; each round
+        tests only the candidates the last one did not. Ties go to the
+        candidate with the nearer centroid.
+        """
+        n = len(points)
+        dist = np.full(n, np.inf)
+        tri = np.zeros(n, dtype=int)
+        bary = np.zeros((n, 3))
+        todo = np.arange(n)
+        lo, k = 0, self.k
+        while len(todo):
+            block = max(1, self.PAIR_BLOCK // (k - lo))
+            left = []
+            for s in range(0, len(todo), block):
+                rows = todo[s:s + block]
+                x = points[rows]
+                dc, cand = self.tree.query(x, k=k)
+                dc = dc.reshape(len(rows), k)
+                cand = cand.reshape(len(rows), k)[:, lo:]
+                x = x[:, None, :]
+                q, b = _closest_points_on_triangles(x, *self._abc[:, cand])
+                off = x - q
+                d = np.sqrt(_dot(off, off))
+                r = np.arange(len(rows))
+                j = np.argmin(d, axis=1)
+                d, cand, b = d[r, j], cand[r, j], b[r, j]
+                new = d < dist[rows]  # a tie keeps the earlier candidate
+                hit = rows[new]
+                dist[hit], tri[hit], bary[hit] = d[new], cand[new], b[new]
+                sure = np.minimum(dist[rows], self.delta) <= dc[:, -1] - self.rho_max
+                left.append(rows[~sure])
+            todo = np.concatenate(left) if k < len(self.S) else todo[:0]
+            lo, k = k, min(2 * k, len(self.S))
+        return dist, tri, bary
 
     def evaluate(self, x) -> MultiForm:
-        return MultiForm(self.m, 2, self._coeffs_at(np.asarray(x, float)), 1.0)
+        row = self.evaluate_many(np.reshape(np.asarray(x, float), (1, -1)))[0]
+        return MultiForm(self.m, 2, row, 1.0)
 
     def evaluate_many(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return np.array([self._coeffs_at(x) for x in points])
+        points = np.asarray(points, dtype=float).reshape(-1, self.m)
+        tangents = self.S.tangents
+        out = np.zeros((len(points), tangents.shape[1]))
+        d, t, bary = self._locate(points)
+        inside = d < self.delta
+        d, t, bary = d[inside], t[inside], bary[inside]
+        coeffs = tangents[t]
+        s = _smoothstep_down(bary / self.BAND)
+        nb = self.neighbors[t]
+        for slot in range(3):
+            w = np.where(nb[:, slot] >= 0, 0.5 * s[:, slot], 0.0)
+            coeffs = coeffs + w[:, None] * (tangents[nb[:, slot]] - tangents[t])
+        # comass: the largest singular value of each skew coefficient matrix
+        i, j = pairs2(self.m)
+        A = np.zeros((len(coeffs), self.m, self.m))
+        A[:, i, j] = coeffs
+        A[:, j, i] = -coeffs
+        cm = np.linalg.svd(A, compute_uv=False)[:, 0]
+        eta = _smoothstep_down((d - 0.5 * self.delta) / (0.5 * self.delta))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[inside] = np.where(cm > 0, eta / cm, 0.0)[:, None] * coeffs
+        return out
 
 
 def tubular_calibration(S: cur.TriCurrent, delta: float) -> CalibrationField:
@@ -366,14 +427,10 @@ def exterior_derivative_fd(field, x, h: float = 1e-5) -> MultiForm:
     x = np.asarray(x, dtype=float)
     m = field.m
     i2, j2 = pairs2(m)
-    # partials of every 2-form coefficient
-    grad = np.zeros((m, len(i2)))
-    for d in range(m):
-        e = np.zeros(m)
-        e[d] = h
-        grad[d] = (field.evaluate(x + e).coeffs - field.evaluate(x - e).coeffs) / (
-            2 * h
-        )
+    # partials of every 2-form coefficient, from one call on the 2m stencil
+    step = h * np.eye(m)
+    vals = field.evaluate_many(np.concatenate([x + step, x - step]))
+    grad = (vals[:m] - vals[m:]) / (2 * h)
     lookup = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(i2, j2))}
     out = []
     for (a, b, c) in blades(m, 3):

@@ -35,24 +35,22 @@ def param_disk(radii, n_theta: int):
     if np.any(np.diff(radii) <= 0) or radii[0] <= 0:
         raise ValueError("radii must be positive and increasing")
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    pts = [np.zeros((1, 2))]
-    for r in radii:
-        pts.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
-    points = np.vstack(pts)
-
-    def ring(k, j):  # vertex index of ring k (1-based), slot j
-        return 1 + (k - 1) * n_theta + (j % n_theta)
-
-    tris = []
-    for j in range(n_theta):
-        tris.append((0, ring(1, j), ring(1, j + 1)))
-    for k in range(1, len(radii)):
-        for j in range(n_theta):
-            a, b = ring(k, j), ring(k, j + 1)
-            c, d = ring(k + 1, j), ring(k + 1, j + 1)
-            tris.append((a, c, d))
-            tris.append((a, d, b))
-    return points, np.array(tris, dtype=int)
+    points = np.vstack([
+        np.zeros((1, 2)),
+        np.stack([radii[:, None] * np.cos(theta), radii[:, None] * np.sin(theta)],
+                 axis=-1).reshape(-1, 2),
+    ])
+    # vertex 1 + k * n_theta + j is slot j of ring k (0-based); next is slot j + 1
+    j = np.arange(n_theta)
+    nxt = (j + 1) % n_theta
+    fan = np.stack([np.zeros_like(j), 1 + j, 1 + nxt], axis=1)
+    inner = 1 + n_theta * np.arange(len(radii) - 1)[:, None]  # (rings - 1, 1)
+    a, b = inner + j, inner + nxt
+    c, d = a + n_theta, b + n_theta
+    # per ring and slot, the quad's two triangles (a, c, d) and (a, d, b)
+    quads = np.stack([np.stack([a, c, d], axis=-1), np.stack([a, d, b], axis=-1)],
+                     axis=2).reshape(-1, 3)
+    return points, np.concatenate([fan, quads]).astype(int)
 
 
 def _uniform_radii(rmax: float, h: float) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Calibration fields: constant symplectic, tubular, Fubini-Study, SL form."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curlab import calibrations as cal
 from curlab import currents as cur
@@ -97,6 +100,307 @@ def test_tubular_genuinely_nonclosed(tube_pair):
         x = C.centroids[k] + 0.75 * field.delta * _normal_at(C, k, rng)
         best = max(best, cal.exterior_derivative_fd(field, x, h=1e-4).norm())
     assert best >= 1e-3
+
+
+def _closest_on_triangle_reference(p, a, b, c):
+    """Scalar closest point of triangle (a,b,c) to p, with barycentric
+    coordinates (Ericson, Real-Time Collision Detection, 5.1.5)."""
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = ab @ ap
+    d2 = ac @ ap
+    if d1 <= 0 and d2 <= 0:
+        return a, (1.0, 0.0, 0.0)
+    bp = p - b
+    d3 = ab @ bp
+    d4 = ac @ bp
+    if d3 >= 0 and d4 <= d3:
+        return b, (0.0, 1.0, 0.0)
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0 and d1 >= 0 and d3 <= 0:
+        v = d1 / (d1 - d3)
+        return a + v * ab, (1 - v, v, 0.0)
+    cp = p - c
+    d5 = ab @ cp
+    d6 = ac @ cp
+    if d6 >= 0 and d5 <= d6:
+        return c, (0.0, 0.0, 1.0)
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0 and d2 >= 0 and d6 <= 0:
+        w = d2 / (d2 - d6)
+        return a + w * ac, (1 - w, 0.0, w)
+    va = d3 * d6 - d5 * d4
+    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
+        w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        return b + w * (c - b), (0.0, 1 - w, w)
+    denom = va + vb + vc
+    v = vb / denom
+    w = vc / denom
+    return a + ab * v + ac * w, (1 - v - w, v, w)
+
+
+def _tubular_row_reference(field, x):
+    """The tubular field at x, one triangle at a time over all triangles.
+
+    Triangles are scanned in order of centroid distance and the first
+    nearest one is kept, as the k-nearest search did with k = len(S).
+    """
+    S = field.S
+    order = np.argsort(np.linalg.norm(S.centroids - x, axis=1), kind="stable")
+    corners = S.corners()
+    best = (np.inf, None, None)
+    for t in order:
+        q, bary = _closest_on_triangle_reference(x, *corners[t])
+        d = float(np.linalg.norm(x - q))
+        if d < best[0]:
+            best = (d, int(t), bary)
+    d, t, bary = best
+    if d >= field.delta:
+        return np.zeros(len(xt.blades(field.m, 2)))
+    tangents = S.tangents
+    coeffs = np.array(tangents[t])
+    for slot in range(3):
+        s = float(cal._smoothstep_down(bary[slot] / field.BAND))
+        if s <= 0.0:
+            continue
+        nb = field.neighbors[t, slot]
+        if nb < 0:
+            continue
+        coeffs = coeffs + 0.5 * s * (tangents[nb] - tangents[t])
+    form = xt.MultiForm(field.m, 2, coeffs)
+    cm = xt.comass2(form)
+    if cm <= 0:
+        return np.zeros_like(coeffs)
+    eta = float(cal._smoothstep_down((d - 0.5 * field.delta) / (0.5 * field.delta)))
+    return (eta / cm) * np.asarray(form.coeffs)
+
+
+def _kernel_points(a, b, c, rng):
+    """Points in each of the seven Voronoi regions of triangle (a, b, c),
+    pushed off its plane, with the region the scalar test must report."""
+    e, f = xt.plane_frames(xt.simple_2vector(b - a, c - a).coeffs[None], 4)
+    e, f = e[0], f[0]
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    def off_plane():
+        v = rng.standard_normal(4)
+        v -= (v @ e) * e + (v @ f) * f
+        return rng.uniform(0.0, 2.0) * v
+
+    pts, want = [], []
+    for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+        # past vertex p, inside its normal cone
+        out = unit(p - q) + unit(p - r)
+        pts.append(p + rng.uniform(0.1, 2.0) * out + off_plane())
+        want.append("vertex")
+        # beyond the middle of edge pq, in the plane away from r
+        n = r - p - ((r - p) @ unit(q - p)) * unit(q - p)
+        pts.append(0.5 * (p + q) - rng.uniform(0.1, 2.0) * unit(n) + off_plane())
+        want.append("edge")
+    w = rng.dirichlet(np.ones(3))
+    pts.append(w[0] * a + w[1] * b + w[2] * c + off_plane())
+    want.append("interior")
+    return pts, want
+
+
+def _region(bary):
+    zeros = sum(1 for x in bary if x == 0.0)
+    return {2: "vertex", 1: "edge", 0: "interior"}[zeros]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_property_closest_points_on_triangles_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        a, b, c = rng.standard_normal((3, 4)) * rng.uniform(0.01, 10.0)
+        if xt.simple_2vector(b - a, c - a).norm() > 1e-3 * np.linalg.norm(b - a) ** 2:
+            break
+    pts, want = _kernel_points(a, b, c, rng)
+    # the vertices themselves, points on the edges and random points
+    pts += [a, b, c]
+    pts += [p + s * (q - p) for p, q in ((a, b), (b, c), (c, a))
+            for s in rng.uniform(0, 1, 2)]
+    pts += list(a + rng.standard_normal((8, 4)) * np.linalg.norm(b - a))
+    P = np.array(pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, bary = cal._closest_points_on_triangles(P, a, b, c)
+        q2, bary2 = cal._closest_points_on_triangles(P[:, None, :], a[None], b[None],
+                                                     c[None])
+    assert q.shape == P.shape and bary.shape == (len(P), 3)
+    assert np.array_equal(q2[:, 0], q) and np.array_equal(bary2[:, 0], bary)
+    scale = max(np.abs(P).max(), np.abs([a, b, c]).max())
+    for k, p in enumerate(P):
+        q_ref, bary_ref = _closest_on_triangle_reference(p, a, b, c)
+        if k < len(want):
+            assert _region(bary_ref) == want[k]
+        assert np.abs(q[k] - q_ref).max() <= 1e-12 * scale
+        assert np.abs(bary[k] - np.array(bary_ref)).max() <= 1e-12
+    # on a vertex both give the vertex itself and its unit coordinates
+    for k, v in enumerate((a, b, c)):
+        row = len(want) + k
+        assert np.array_equal(q[row], v)
+        assert np.array_equal(bary[row], np.eye(3)[k])
+
+
+def _graph_z2(radii, n_theta):
+    """Graph of z -> z^2 over a polar parameter disk: many thin triangles
+    meet at the center, and neighbours of a point spread along the rings."""
+    pts, tris = ex.param_disk(radii, n_theta)
+    z = pts[:, 0] + 1j * pts[:, 1]
+    w = z**2
+    verts = np.column_stack([z.real, z.imag, w.real, w.imag])
+    return cur.TriCurrent(verts, tris, np.ones(len(tris), int))
+
+
+def _far_cluster():
+    """A large triangle in the e1 e2 plane and, 0.2 above it in e3, a fan of
+    16 small triangles: near (1, 1) the 16 nearest centroids are the fan's,
+    yet the large triangle is the nearest one."""
+    pts, tris = ex.param_disk([0.05], 16)
+    verts = np.zeros((len(pts) + 3, 4))
+    verts[:len(pts), :2] = pts + 1.0
+    verts[:len(pts), 2] = 0.2
+    verts[len(pts):, :2] = [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]
+    n = len(pts)
+    tris = np.vstack([tris, [[n, n + 1, n + 2]]])
+    return cur.TriCurrent(verts, tris, np.ones(len(tris), int))
+
+
+@pytest.fixture(scope="module")
+def tube_fields():
+    return [cal.tubular_calibration(ex.nonholo_graph(h=0.25, rmax=0.6), 0.05),
+            cal.tubular_calibration(_graph_z2(np.array([0.1, 0.2, 0.3]), 64), 0.05),
+            cal.tubular_calibration(_far_cluster(), 0.05)]
+
+
+def _tube_points(field, rng, n):
+    """Points on the surface, in the edge bands, off it up to 1.2 delta and
+    outside the tube."""
+    S, delta = field.S, field.delta
+    idx = rng.integers(0, len(S), n)
+    bary = rng.dirichlet(np.ones(3), n)
+    band = rng.random(n) < 0.3  # one coordinate inside the blending band
+    slot = rng.integers(0, 3, n)
+    bary[band, slot[band]] = rng.uniform(0.0, 1.5 * field.BAND, band.sum())
+    bary /= bary.sum(axis=1)[:, None]
+    on = np.einsum("pb,pbm->pm", bary, S.corners()[idx])
+    e, f = xt.plane_frames(S.tangents[idx], S.m)
+    v = rng.standard_normal((n, S.m))
+    v -= (np.einsum("pi,pi->p", v, e)[:, None] * e
+          + np.einsum("pi,pi->p", v, f)[:, None] * f)
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    height = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.0, 1.2 * delta, n))
+    height[rng.random(n) < 0.15] = rng.uniform(1.2 * delta, 4.0 * delta)
+    return on + height[:, None] * v
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([0, 1, 2]))
+def test_property_tubular_field_matches_reference(tube_fields, seed, which):
+    field = tube_fields[which]
+    rng = np.random.default_rng(seed)
+    P = _tube_points(field, rng, 24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = field.evaluate_many(P)
+    want = np.array([_tubular_row_reference(field, x) for x in P])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+    one = field.evaluate(P[0])
+    assert one.comass_bound == 1.0
+    assert np.abs(one.coeffs - want[0]).max() <= 1e-12
+    assert np.abs(field.evaluate_many(P[:1]) - want[:1]).max() <= 1e-12
+    assert field.evaluate_many(np.zeros((0, field.m))).shape == (0, want.shape[1])
+
+
+def test_tubular_field_searches_past_the_first_candidates():
+    C = _far_cluster()
+    field = cal.tubular_calibration(C, 0.05)
+    x = np.array([1.02, 0.97, 0.0, 0.0])
+    _, near = field.tree.query(x, k=field.K_CANDIDATES)
+    assert len(C) - 1 not in near  # the owning triangle is not a candidate
+    want = np.eye(len(xt.blades(4, 2)))[xt.blade_index(4, (0, 1))]
+    assert np.array_equal(field.evaluate(x).coeffs, want)
+    assert np.array_equal(field.evaluate_many(np.tile(x, (3, 1))),
+                          np.tile(want, (3, 1)))
+
+
+def test_tubular_field_calibrates_its_own_mesh():
+    # every quadrature point lies on its own facet, outside the edge bands
+    # (smallest barycentric coordinate 0.0299 > BAND after refinement), so
+    # the field is that facet's dual there and the defect is roundoff
+    C = ex.holomorphic_graph(k=2, h=0.15)
+    field = cal.tubular_calibration(C, 0.05)
+    m = cur.mass(C)
+    assert abs(cal.calibration_defect(C, field)) <= 1e-12 * m
+
+
+def _two_disks(gap):
+    D = ex.flat_disk(h=0.1, rmax=0.5)
+    lifted = D.vertices.copy()
+    lifted[:, 2] += gap
+    tris = np.vstack([D.triangles, D.triangles + len(D.vertices)])
+    return cur.TriCurrent(np.vstack([D.vertices, lifted]), tris,
+                          np.ones(len(tris), int))
+
+
+def test_tubular_reach_check():
+    with pytest.raises(ValueError, match="reach"):
+        cal.tubular_calibration(_two_disks(0.06), 0.05)
+    cal.tubular_calibration(_two_disks(0.25), 0.05)
+    # the meshes the tests, the CLI defaults and the benchmark build fields on
+    for C, delta in ((ex.nonholo_graph(h=0.06), 0.05),
+                     (ex.nonholo_graph(h=0.06, rmax=0.6), 0.05),
+                     (ex.nonholo_graph(h=0.25), 0.05),
+                     (ex.holomorphic_graph(k=2, h=0.15), 0.05),
+                     (ex.flat_disk(h=0.1, rmax=0.6), 0.1)):
+        cal.tubular_calibration(C, delta)
+
+
+def test_tubular_edge_neighbors():
+    T = ex.nonholo_graph(h=0.25).triangles
+    nb = cal._edge_neighbors(T)
+    for t, tri in enumerate(T):
+        for slot in range(3):
+            edge = {tri[(slot + 1) % 3], tri[(slot + 2) % 3]}
+            others = [u for u in range(len(T)) if u != t and edge <= set(T[u])]
+            assert nb[t, slot] == (others[0] if len(others) == 1 else -1)
+    # an edge shared by three triangles has no neighbour across it
+    fin = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    assert np.array_equal(cal._edge_neighbors(fin)[:, 2], [-1, -1, -1])
+
+
+def _exterior_derivative_fd_reference(field, x, h=1e-5):
+    """The finite-difference d of a 2-form field, one point at a time."""
+    m = field.m
+    i2, j2 = xt.pairs2(m)
+    grad = np.zeros((m, len(i2)))
+    for d in range(m):
+        e = np.zeros(m)
+        e[d] = h
+        grad[d] = (field.evaluate(x + e).coeffs
+                   - field.evaluate(x - e).coeffs) / (2 * h)
+    lookup = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(i2, j2))}
+    return np.array([grad[a][lookup[(b, c)]] - grad[b][lookup[(a, c)]]
+                     + grad[c][lookup[(a, b)]] for (a, b, c) in xt.blades(m, 3)])
+
+
+def test_exterior_derivative_fd_matches_pointwise(tube_pair):
+    C, field = tube_pair
+    rng = np.random.default_rng(11)
+    for k in rng.choice(len(C), 4, replace=False):
+        x = C.centroids[k] + 0.75 * field.delta * _normal_at(C, k, rng)
+        got = cal.exterior_derivative_fd(field, x, h=1e-4).coeffs
+        assert np.array_equal(got, _exterior_derivative_fd_reference(field, x, h=1e-4))
+    sl = cal.special_legendrian()
+    x = np.array([1.0, 0.2, -0.3, 0.1, 0.0, 0.4])
+    assert np.array_equal(cal.exterior_derivative_fd(sl, x).coeffs,
+                          _exterior_derivative_fd_reference(sl, x))
 
 
 def test_defect_holomorphic_graph():

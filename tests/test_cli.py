@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from curlab import calibrations as cal
 from curlab import cli
 from curlab import currents as cur
 from curlab import examples as ex
@@ -61,8 +62,11 @@ def test_monotonicity_passes(tmp_path):
     assert all(row[-2] == "0" for row in rows[1:])
 
 
-def test_defect_check_failure(tmp_path, capsys):
-    # a mesh too coarse for its curvature leaves a real calibration defect
+def test_defect_check_failure(tmp_path, capsys, monkeypatch):
+    # a field built from the measured mesh calibrates it up to roundoff, so
+    # the failing defect is injected
+    monkeypatch.setattr(cal, "calibration_defect",
+                        lambda C, field, R=None: 1e-3 * cur.mass(C))
     rc = cli.run(["defect", "--example", "graph-z2", "--h", "0.15",
                   "--out", str(tmp_path)])
     assert rc == 2

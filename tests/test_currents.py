@@ -24,6 +24,38 @@ def graph():
     return ex.holomorphic_graph(k=2, h=0.02)
 
 
+def _param_disk_reference(radii, n_theta):
+    """param_disk's triangles, one ring slot at a time."""
+    def ring(k, j):  # vertex index of ring k (1-based), slot j
+        return 1 + (k - 1) * n_theta + (j % n_theta)
+
+    tris = []
+    for j in range(n_theta):
+        tris.append((0, ring(1, j), ring(1, j + 1)))
+    for k in range(1, len(radii)):
+        for j in range(n_theta):
+            a, b = ring(k, j), ring(k, j + 1)
+            c, d = ring(k + 1, j), ring(k + 1, j + 1)
+            tris.append((a, c, d))
+            tris.append((a, d, b))
+    theta = 2 * np.pi * np.arange(n_theta) / n_theta
+    pts = [np.zeros((1, 2))]
+    for r in np.asarray(radii, dtype=float):
+        pts.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+    return np.vstack(pts), np.array(tris, dtype=int)
+
+
+@pytest.mark.parametrize("radii, n_theta", [
+    ([0.5], 3), ([0.5], 16), ([0.1, 0.2, 0.7], 5), (np.linspace(0.01, 1.0, 100), 628),
+    (0.8 ** np.arange(30)[::-1], 64),
+])
+def test_param_disk_matches_loop(radii, n_theta):
+    pts, tris = ex.param_disk(radii, n_theta)
+    want_pts, want_tris = _param_disk_reference(radii, n_theta)
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(tris, want_tris) and tris.dtype == want_tris.dtype
+
+
 def _torus(n=24, R=2.0, r=1.0):
     """Closed torus of revolution embedded in the first 3 coordinates."""
     u = 2 * np.pi * np.arange(n) / n
