@@ -117,24 +117,10 @@ class SampledMap:
         self.phi = 2 * math.pi * np.arange(n_phi) / n_phi
         self.f = f
         self._grad = None
+        self._energy = None
+        self._radial = None
 
-        rho = self.radii[:, None, None, None]
-        eta = self.eta[None, :, None, None]
-        p1 = self.phi[None, None, :, None]
-        p2 = self.phi[None, None, None, :]
-        full = (n_radial, n_eta, n_phi, n_phi)
-        x = np.stack(
-            [
-                np.broadcast_to(rho * np.cos(eta) * np.cos(p1), full),
-                np.broadcast_to(rho * np.cos(eta) * np.sin(p1), full),
-                np.broadcast_to(rho * np.sin(eta) * np.cos(p2), full),
-                np.broadcast_to(rho * np.sin(eta) * np.sin(p2), full),
-            ],
-            axis=-1,
-        )
-        self.points = x
-        flat = x.reshape(-1, 4)
-        vals = np.asarray(f(flat), dtype=float)
+        vals = np.asarray(f(self.points.reshape(-1, 4)), dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
         self.d = vals.shape[1]
@@ -151,12 +137,31 @@ class SampledMap:
             * np.ones((1, n_phi, n_phi))
         )
 
+    @property
+    def points(self) -> np.ndarray:
+        """Node coordinates in R^4, shape (R,E,P,P,4), built on each access."""
+        rho = self.radii[:, None, None, None]
+        eta = self.eta[None, :, None, None]
+        p1 = self.phi[None, None, :, None]
+        p2 = self.phi[None, None, None, :]
+        full = (len(self.radii), len(self.eta), self.n_phi, self.n_phi)
+        return np.stack(
+            [
+                np.broadcast_to(rho * np.cos(eta) * np.cos(p1), full),
+                np.broadcast_to(rho * np.cos(eta) * np.sin(p1), full),
+                np.broadcast_to(rho * np.sin(eta) * np.cos(p2), full),
+                np.broadcast_to(rho * np.sin(eta) * np.sin(p2), full),
+            ],
+            axis=-1,
+        )
+
     # -- differentiation -------------------------------------------------
 
     def frame_partials(self):
         """Partials along the orthogonal polar frame, each (R,E,P,P,d).
 
         Order: d/d rho, (1/rho) d/d eta, the two normalized phi directions.
+        Computed once per map; the arrays are read-only.
         """
         if self._grad is not None:
             return self._grad
@@ -170,9 +175,11 @@ class SampledMap:
         rho = self.radii[:, None, None, None, None]
         ce = np.cos(self.eta)[None, :, None, None, None]
         se = np.sin(self.eta)[None, :, None, None, None]
-        self._grad = (du_rho, du_eta / rho, du_p1 / (rho * ce),
-                      du_p2 / (rho * se))
-        return self._grad
+        grad = (du_rho, du_eta / rho, du_p1 / (rho * ce), du_p2 / (rho * se))
+        for g in grad:
+            g.flags.writeable = False
+        self._grad = grad
+        return grad
 
     def frame_vectors(self):
         """Orthonormal frame (e_rho, e_eta, e_phi1, e_phi2) at the nodes."""
@@ -204,14 +211,24 @@ class SampledMap:
         return out
 
     def energy_density(self) -> np.ndarray:
-        """|grad u|^2 per node, shape (R,E,P,P)."""
-        parts = self.frame_partials()
-        return sum(np.einsum("...d,...d->...", p, p) for p in parts)
+        """|grad u|^2 per node, shape (R,E,P,P); computed once, read-only."""
+        if self._energy is None:
+            first, *rest = self.frame_partials()
+            out = np.einsum("...d,...d->...", first, first)
+            for p in rest:
+                out += np.einsum("...d,...d->...", p, p)
+            out.flags.writeable = False
+            self._energy = out
+        return self._energy
 
     def radial_density(self) -> np.ndarray:
-        """|du/dR|^2 per node."""
-        du = self.frame_partials()[0]
-        return np.einsum("...d,...d->...", du, du)
+        """|du/dR|^2 per node; computed once, read-only."""
+        if self._radial is None:
+            du = self.frame_partials()[0]
+            out = np.einsum("...d,...d->...", du, du)
+            out.flags.writeable = False
+            self._radial = out
+        return self._radial
 
     # -- integration -----------------------------------------------------
 
@@ -466,32 +483,32 @@ def inner_variation_residual(u: SampledMap, xi: VectorField,
     structure-perturbation terms; zero (to quadrature) for standard-structure
     holomorphic maps, and O(slope * r) times the energy in general.
     """
+    x = u.points
     if xi.support_radius >= u.r_max - 1e-12:
         # sampled compactness check on the outermost sphere
-        edge = np.abs(xi.value(u.points[-1].reshape(-1, 4))).max()
+        edge = np.abs(xi.value(x[-1].reshape(-1, 4))).max()
         if edge > 1e-10:
             raise ValueError("test field must vanish near the boundary")
-    pts = u.points.reshape(-1, 4)
+    pts = x.reshape(-1, 4)
     Du = u.gradient().reshape(-1, u.d, 4)
     dens = u.energy_density().reshape(-1)
     Dxi = xi.jacobian(pts)  # (P, i, j) = d xi^j / d x_i
+    # kept as one einsum: a reordered sum moves the near-cancelling
+    # standard-J residual by more than 1e-12 relative
     gram = np.einsum("pai,paj->pij", Du, Du)
-    lhs = dens * np.einsum("pii->p", Dxi) - 2.0 * np.einsum(
-        "pij,pij->p", gram, Dxi
-    )
+    div = np.einsum("pii->p", Dxi)
+    lhs = dens * div - 2.0 * np.einsum("pij,pij->p", gram, Dxi)
     B = target_structure(u.d)
     J0 = J.J0
-    div = np.einsum("pii->p", Dxi)
     rhs = np.zeros(len(pts))
     if J.slope != 0.0:
         A = J.matrix_many(pts) - J.J0[None]
-        M = np.einsum("pkl,pml->pkm", A, A) + 2.0 * np.einsum(
-            "pkl,ml->pkm", A, J0
-        )
-        phi = np.einsum("pak,pkl,pbl,ba->p", Du, A, Du, B)
-        T2 = np.einsum("pki,pak,ba,pbj->pij", A, Du, B, Du)
+        M = A @ A.transpose(0, 2, 1) + 2.0 * (A @ J0.T)
+        DuB = np.einsum("ba,pbj->paj", B, Du)
+        phi = np.einsum("pak,pkl,pal->p", Du, A, DuB, optimize=True)
+        T2 = np.einsum("pak,pki,paj->pij", Du, A, DuB, optimize=True)
         psi = np.einsum("pkl,pkl->p", gram, M)
-        T4 = np.einsum("pki,pkj->pij", M, gram)
+        T4 = M.transpose(0, 2, 1) @ gram
         rhs = (
             -0.5 * phi * div
             + np.einsum("pij,pij->p", T2, Dxi)
@@ -525,17 +542,6 @@ def coarea_slice_check(u: SampledMap, n_lines: int = 128, seed: int = 7,
         fill_value=None,
     )
 
-    def sample(points):
-        rel = points
-        rho = np.linalg.norm(rel, axis=1)
-        z1 = np.abs(rel[:, 0] + 1j * rel[:, 1])
-        eta = np.arctan2(np.abs(rel[:, 2] + 1j * rel[:, 3]), z1)
-        p1 = np.arctan2(rel[:, 1], rel[:, 0]) % (2 * math.pi)
-        p2 = np.arctan2(rel[:, 3], rel[:, 2]) % (2 * math.pi)
-        eta = np.clip(eta, u.eta[0], u.eta[-1])
-        rho = np.clip(rho, u.radii[0], u.radii[-1])
-        return interp(np.column_stack([rho, eta, p1, p2]))
-
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n_lines, 2)) + 1j * rng.normal(size=(n_lines, 2))
     a /= np.linalg.norm(a, axis=1)[:, None]
@@ -545,13 +551,20 @@ def coarea_slice_check(u: SampledMap, n_lines: int = 128, seed: int = 7,
     tt = 2 * math.pi * np.arange(nt) / nt
     zeta = (tr[:, None] * np.exp(1j * tt[None, :])).ravel()
     wq = (1.0 / nr) * (2 * math.pi / nt) * np.abs(zeta) * np.abs(zeta) ** 2
-    per_line = np.empty(n_lines)
-    for k in range(n_lines):
-        zpts = zeta[:, None] * a[k][None, :]
-        pts = np.column_stack(
-            [zpts[:, 0].real, zpts[:, 0].imag, zpts[:, 1].real, zpts[:, 1].imag]
-        )
-        per_line[k] = float(sample(pts) @ wq)
+    # the quadrature points of every line, line by line, in one batch
+    zpts = (zeta[None, :, None] * a[:, None, :]).reshape(-1, 2)
+    rel = np.column_stack(
+        [zpts[:, 0].real, zpts[:, 0].imag, zpts[:, 1].real, zpts[:, 1].imag]
+    )
+    rho = np.linalg.norm(rel, axis=1)
+    z1 = np.abs(rel[:, 0] + 1j * rel[:, 1])
+    eta = np.arctan2(np.abs(rel[:, 2] + 1j * rel[:, 3]), z1)
+    p1 = np.arctan2(rel[:, 1], rel[:, 0]) % (2 * math.pi)
+    p2 = np.arctan2(rel[:, 3], rel[:, 2]) % (2 * math.pi)
+    eta = np.clip(eta, u.eta[0], u.eta[-1])
+    rho = np.clip(rho, u.radii[0], u.radii[-1])
+    vals = interp(np.column_stack([rho, eta, p1, p2]))
+    per_line = vals.reshape(n_lines, len(zeta)) @ wq
     reassembled = math.pi * per_line.mean()
     ball = u.ball_integral(density, u.r_max)
     ratio = reassembled / ball if ball else math.nan

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from curlab import jholo as jh
 
@@ -231,6 +232,61 @@ def test_coarea_energy_density(u_z1, u_z1z2):
         assert np.all(per >= 0)
 
 
+def _coarea_per_line_reference(u, density, n_lines=128, seed=7):
+    """Per-line values of the coarea check, one interpolator call per line."""
+    phi_ext = np.append(u.phi, 2 * math.pi)
+    interp = RegularGridInterpolator(
+        (u.radii, u.eta, phi_ext, phi_ext),
+        np.pad(density, ((0, 0), (0, 0), (0, 1), (0, 1)), mode="wrap"),
+        bounds_error=False,
+        fill_value=None,
+    )
+
+    def sample(rel):
+        rho = np.linalg.norm(rel, axis=1)
+        z1 = np.abs(rel[:, 0] + 1j * rel[:, 1])
+        eta = np.arctan2(np.abs(rel[:, 2] + 1j * rel[:, 3]), z1)
+        p1 = np.arctan2(rel[:, 1], rel[:, 0]) % (2 * math.pi)
+        p2 = np.arctan2(rel[:, 3], rel[:, 2]) % (2 * math.pi)
+        eta = np.clip(eta, u.eta[0], u.eta[-1])
+        rho = np.clip(rho, u.radii[0], u.radii[-1])
+        return interp(np.column_stack([rho, eta, p1, p2]))
+
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_lines, 2)) + 1j * rng.normal(size=(n_lines, 2))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    nr, nt = 24, 48
+    tr = (np.arange(nr) + 0.5) / nr
+    tt = 2 * math.pi * np.arange(nt) / nt
+    zeta = (tr[:, None] * np.exp(1j * tt[None, :])).ravel()
+    wq = (1.0 / nr) * (2 * math.pi / nt) * np.abs(zeta) * np.abs(zeta) ** 2
+    per_line = np.empty(n_lines)
+    for k in range(n_lines):
+        zpts = zeta[:, None] * a[k][None, :]
+        pts = np.column_stack(
+            [zpts[:, 0].real, zpts[:, 0].imag, zpts[:, 1].real, zpts[:, 1].imag]
+        )
+        per_line[k] = float(sample(pts) @ wq)
+    return per_line
+
+
+def test_coarea_batched_matches_per_line(u_z1, u_z1z2, u_hopf):
+    """One interpolator call over all lines gives the per-line loop's values."""
+    for u in (u_z1, u_z1z2, u_hopf):
+        for density, seed in ((u.energy_density(), 7),
+                              (u.radial_density(), 3)):
+            per, reassembled, _, _ = jh.coarea_slice_check(
+                u, seed=seed, density=density
+            )
+            want = _coarea_per_line_reference(u, density, seed=seed)
+            np.testing.assert_allclose(per, want, rtol=1e-12, atol=0.0)
+            assert reassembled == pytest.approx(math.pi * want.mean(),
+                                                rel=1e-12)
+    per, _, _, _ = jh.coarea_slice_check(u_z1, n_lines=64, seed=11)
+    want = _coarea_per_line_reference(u_z1, u_z1.energy_density(), 64, 11)
+    np.testing.assert_allclose(per, want, rtol=1e-12, atol=0.0)
+
+
 def test_tangent_map_gap_homogeneous(u_hopf):
     lad = _ladder(u_hopf, stride=8, count=4)
     for s, t in zip(lad, lad[1:]):
@@ -321,6 +377,62 @@ def test_gradient_refinement_order():
     e_coarse = _grad_error(21, 0.9)
     e_fine = _grad_error(41, math.sqrt(0.9))
     assert 3.5 <= e_coarse / e_fine <= 4.5
+
+
+def _points_reference(u):
+    """The node grid as the constructor stacked it when it stored it."""
+    n_radial, n_eta, n_phi = len(u.radii), len(u.eta), u.n_phi
+    rho = u.radii[:, None, None, None]
+    eta = u.eta[None, :, None, None]
+    p1 = u.phi[None, None, :, None]
+    p2 = u.phi[None, None, None, :]
+    full = (n_radial, n_eta, n_phi, n_phi)
+    return np.stack(
+        [
+            np.broadcast_to(rho * np.cos(eta) * np.cos(p1), full),
+            np.broadcast_to(rho * np.cos(eta) * np.sin(p1), full),
+            np.broadcast_to(rho * np.sin(eta) * np.cos(p2), full),
+            np.broadcast_to(rho * np.sin(eta) * np.sin(p2), full),
+        ],
+        axis=-1,
+    )
+
+
+def test_sampled_map_points_on_demand(u_z1):
+    """The node grid is rebuilt on access, not stored, and is the grid the
+    map was sampled on."""
+    odd = jh.map_example("hopf", n_radial=5, n_eta=3, n_phi=7)
+    for u in (u_z1, odd):
+        assert "points" not in vars(u)
+        want = _points_reference(u)
+        got = u.points
+        assert got.shape == (len(u.radii), len(u.eta), u.n_phi, u.n_phi, 4)
+        assert got.tobytes() == want.tobytes()
+        assert u.points is not got
+        assert u.values.tobytes() == np.asarray(
+            u.f(want.reshape(-1, 4)), dtype=float).tobytes()
+
+
+def test_sampled_map_memoizes_derived_grids():
+    """The densities are computed once per map, read-only, and equal the
+    sum of squared frame partials in frame order, bit for bit."""
+    grid = dict(n_radial=9, n_eta=5, n_phi=12)
+    for name in ("z1z2", "hopf"):
+        u = jh.map_example(name, **grid)
+        energy, radial = u.energy_density(), u.radial_density()
+        assert u.energy_density() is energy
+        assert u.radial_density() is radial
+        for arr in (energy, radial, *u.frame_partials()):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+
+        parts = jh.map_example(name, **grid).frame_partials()
+        want = sum(np.einsum("...d,...d->...", p, p) for p in parts)
+        assert energy.tobytes() == want.tobytes()
+        want = np.einsum("...d,...d->...", parts[0], parts[0])
+        assert radial.tobytes() == want.tobytes()
 
 
 def test_target_structure_validation():
