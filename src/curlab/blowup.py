@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import curve_fit, linprog
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import currents as cur
@@ -183,15 +185,17 @@ def _wedge3_index(m):
 
 
 def _wedge_tangent_vector_sq(tangents: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """|tau ^ v|^2 rowwise for 2-vector coefficient rows tau and vectors v."""
-    m = vecs.shape[1]
+    """|tau ^ v|^2 for 2-vector coefficient rows tau (L, n2) and grouped
+    vectors v (L, k, m), one value per vector (L, k)."""
+    m = vecs.shape[-1]
     kab, c, kac, b, kbc, a = _wedge3_index(m)
+    tau = tangents[:, None, :]
     w = (
-        tangents[:, kab] * vecs[:, c]
-        - tangents[:, kac] * vecs[:, b]
-        + tangents[:, kbc] * vecs[:, a]
+        tau[..., kab] * vecs[..., c]
+        - tau[..., kac] * vecs[..., b]
+        + tau[..., kbc] * vecs[..., a]
     )
-    return np.einsum("pk,pk->p", w, w)
+    return np.einsum("lqk,lqk->lq", w, w)
 
 
 def conical_defect(C: cur.TriCurrent, x0, s: float, r: float) -> float:
@@ -207,9 +211,9 @@ def conical_defect(C: cur.TriCurrent, x0, s: float, r: float) -> float:
 
     def fn(points, tangents):
         rel = points - x0
-        d2 = np.einsum("pi,pi->p", rel, rel)
+        d2 = np.einsum("lqi,lqi->lq", rel, rel)
         d2 = np.maximum(d2, 1e-300)
-        rhat = rel / np.sqrt(d2)[:, None]
+        rhat = rel / np.sqrt(d2)[..., None]
         return _wedge_tangent_vector_sq(tangents, rhat) / d2
 
     return cur.integrate(C, fn, cur.Region.annulus(x0, s, r))
@@ -219,25 +223,37 @@ def _complex_rows(x: np.ndarray) -> np.ndarray:
     return x[..., 0::2] + 1j * x[..., 1::2]
 
 
-def _projection_gram(rel, e1, e2):
+def _times_i(x: np.ndarray) -> np.ndarray:
+    """Multiplication by i on R^m read as C^{m/2}: (x0, x1) -> (-x1, x0)."""
+    out = np.empty_like(x)
+    out[..., 0::2] = -x[..., 1::2]
+    out[..., 1::2] = x[..., 0::2]
+    return out
+
+
+def _frame_gram(rel, e, f):
     """Pullback inner products of the projectivization map x -> [x].
 
-    rel: positions relative to the center, e1/e2: orthonormal tangent
-    frames; returns (g11, g22, g12), the real pulled-back metric entries.
+    rel (L, k, m): positions relative to the center, grouped by tangent
+    plane; e, f (L, m): an orthonormal frame of each plane. Returns
+    (g11, g22, g12), each (L, k), the real pulled-back metric entries
+    Re(<u, v>|x|^2 - <u, x><x, v>) / |x|^4 for the Hermitian product <,>,
+    in real arithmetic: with J multiplication by i, that real part is
+    (u.v |x|^2 - (u.x)(v.x) - (Ju.x)(Jv.x)) / |x|^4, so each point needs
+    only its products with e, Je, f and Jf.
     """
-    z = _complex_rows(rel)
-    u1 = _complex_rows(e1)
-    u2 = _complex_rows(e2)
-    n2 = np.einsum("pa,pa->p", z, np.conj(z)).real
-    n2 = np.maximum(n2, 1e-300)
-
-    def G(u, v):
-        uv = np.einsum("pa,pa->p", u, np.conj(v))
-        uz = np.einsum("pa,pa->p", u, np.conj(z))
-        zv = np.einsum("pa,pa->p", z, np.conj(v))
-        return (uv * n2 - uz * zv) / n2**2
-
-    return G(u1, u1).real, G(u2, u2).real, G(u1, u2).real
+    n2 = np.maximum(np.einsum("lqi,lqi->lq", rel, rel), 1e-300)
+    frame = np.stack([e, _times_i(e), f, _times_i(f)], axis=2)  # (L, m, 4)
+    a, ja, b, jb = np.moveaxis(rel @ frame, 2, 0)
+    ee, ff, ef = (
+        np.einsum("li,li->l", u, v)[:, None] for u, v in ((e, e), (f, f), (e, f))
+    )
+    n4 = n2 * n2
+    return (
+        (ee * n2 - a * a - ja * ja) / n4,
+        (ff * n2 - b * b - jb * jb) / n4,
+        (ef * n2 - a * b - ja * jb) / n4,
+    )
 
 
 def hopf_projection_mass(C: cur.TriCurrent, x0, s: float, r: float) -> float:
@@ -252,9 +268,8 @@ def hopf_projection_mass(C: cur.TriCurrent, x0, s: float, r: float) -> float:
     x0 = np.asarray(x0, dtype=float)
 
     def fn(points, tangents):
-        rel = points - x0
-        e1, e2 = plane_frames(tangents, C.m)
-        g11, g22, g12 = _projection_gram(rel, e1, e2)
+        e, f = plane_frames(tangents, C.m)
+        g11, g22, g12 = _frame_gram(points - x0, e, f)
         return np.sqrt(np.maximum(g11 * g22 - g12**2, 0.0))
 
     return cur.integrate(C, fn, cur.Region.annulus(x0, s, r))
@@ -263,14 +278,14 @@ def hopf_projection_mass(C: cur.TriCurrent, x0, s: float, r: float) -> float:
 def gradient_energy_density(C: cur.TriCurrent, x0):
     """Pointwise |grad of the projectivization restricted to C|^2 field.
 
-    Returns fn(points, tangents) suitable for currents.integrate.
+    Returns fn(points (L, k, m), tangents (L, n2)) -> (L, k), the grouped
+    integrand of currents.integrate.
     """
     x0 = np.asarray(x0, dtype=float)
 
     def fn(points, tangents):
-        rel = points - x0
-        e1, e2 = plane_frames(tangents, C.m)
-        g11, g22, _ = _projection_gram(rel, e1, e2)
+        e, f = plane_frames(tangents, C.m)
+        g11, g22, _ = _frame_gram(points - x0, e, f)
         return g11 + g22
 
     return fn
@@ -282,27 +297,22 @@ def _fs_dist_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _single_linkage(points: np.ndarray, threshold: float) -> np.ndarray:
-    """Cluster labels by joining all pairs within the distance threshold."""
-    n = len(points)
-    parent = np.arange(n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    D = _fs_dist_matrix(points, points)
-    for i in range(n):
-        close = np.nonzero(D[i] < threshold)[0]
-        ri = find(i)
-        for j in close:
-            rj = find(j)
-            if ri != rj:
-                parent[rj] = ri
-    labels = np.array([find(i) for i in range(n)])
-    _, labels = np.unique(labels, return_inverse=True)
+    """Cluster labels by joining all pairs within the distance threshold:
+    the connected components of that graph, numbered in order of their
+    lowest point index."""
+    close = _fs_dist_matrix(points, points) < threshold
+    _, labels = connected_components(csr_matrix(close), directed=False)
     return labels
+
+
+def _unit_phase(z: np.ndarray) -> np.ndarray:
+    """The unit vector of z's complex line whose largest-modulus coordinate
+    is real and positive (the first such coordinate on a tie)."""
+    z = z / np.linalg.norm(z)
+    k = np.argmax(np.abs(z))
+    z = z * (np.abs(z[k]) / z[k])
+    z[k] = np.abs(z[k])
+    return z + 0.0  # no negative zeros
 
 
 def _cluster(points, weights, threshold):
@@ -314,8 +324,7 @@ def _cluster(points, weights, threshold):
         w = weights[sel]
         M = np.einsum("p,pa,pb->ab", w, P, np.conj(P))
         _, vecs = np.linalg.eigh(M)
-        rep = vecs[:, -1]
-        reps.append(rep / np.linalg.norm(rep))
+        reps.append(_unit_phase(vecs[:, -1]))
         ws.append(float(w.sum()))
         diams.append(float(_fs_dist_matrix(P, P).max()))
     order = np.argsort(ws)[::-1]
@@ -422,7 +431,7 @@ def _slice_energy(C: cur.TriCurrent, S: cur.Polyline1Current, x0) -> float:
     mids = S.midpoints()
     _, idx = tree.query(mids)
     fn = gradient_energy_density(C, x0)
-    vals = fn(mids, C.tangents[idx])
+    vals = fn(mids[:, None, :], C.tangents[idx])[:, 0]
     return float(np.sum(vals * S.lengths() * S.multiplicities))
 
 
@@ -457,6 +466,17 @@ def goodslice_search(C: cur.TriCurrent, x0, r: float, c1: float | None = None,
     raise ValueError("no good slice radius found in [r/2, r]:\n" + table)
 
 
+def _orthogonal_line(z: np.ndarray) -> np.ndarray:
+    """A unit vector Hermitian-orthogonal to z: (-conj z_b, conj z_a) on
+    z's two largest-modulus coordinates a < b, zero elsewhere; for
+    z in C^2 this is (-conj z_1, conj z_0)."""
+    a, b = np.sort(np.argsort(np.abs(z), kind="stable")[-2:])
+    out = np.zeros(len(z), dtype=complex)
+    out[a] = -np.conj(z[b])
+    out[b] = np.conj(z[a])
+    return _unit_phase(out)
+
+
 def dirichlet_iteration(C: cur.TriCurrent, x0, ladder,
                         excluded_radius: float = 0.2):
     """Projection energies E(r) over a decreasing radius ladder.
@@ -470,13 +490,7 @@ def dirichlet_iteration(C: cur.TriCurrent, x0, ladder,
     if np.any(np.diff(ladder) >= 0):
         raise ValueError("ladder must be strictly decreasing")
     dirs = tangent_directions(C, x0, float(ladder[0]))
-    dominant = dirs.representatives[0]
-    # orthonormal completion: any unit vector orthogonal to the dominant class
-    n = len(dominant)
-    Q = np.linalg.qr(
-        np.column_stack([dominant, np.eye(n, dtype=complex)])
-    )[0]
-    pole = Q[:, 1]
+    pole = _orthogonal_line(dirs.representatives[0])
     rel = C.centroids - x0
     d = np.linalg.norm(rel, axis=1)
     near = d <= ladder[0] * 1.5

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import currents as cur
+from .currents import _closest_points_on_triangles, _dot
 from .exterior import (
     MultiForm,
     blades,
@@ -85,66 +86,6 @@ def _smoothstep_down(t: np.ndarray | float):
     """1 at t<=0 falling smoothly to 0 at t>=1."""
     t = np.clip(t, 0.0, 1.0)
     return 1.0 - t * t * (3.0 - 2.0 * t)
-
-
-def _dot(u, v):
-    """Row-wise inner products over the last axis."""
-    return np.einsum("...i,...i->...", u, v)
-
-
-def _closest_points_on_triangles(p, a, b, c):
-    """Closest points of triangles (a, b, c) to p, with barycentrics.
-
-    Ericson, Real-Time Collision Detection, 5.1.5, on arrays: p, a, b and c
-    broadcast to (..., m); returns q (..., m) and the barycentric coordinates
-    (..., 3). Each Voronoi region is a mask, a pair belongs to the first
-    region in Ericson's order whose test holds, and each region's point and
-    coordinates use his arithmetic.
-    """
-    ab = b - a
-    ac = c - a
-    ap = p - a
-    bp = p - b
-    cp = p - c
-    d1, d2 = _dot(ab, ap), _dot(ac, ap)
-    d3, d4 = _dot(ab, bp), _dot(ac, bp)
-    d5, d6 = _dot(ab, cp), _dot(ac, cp)
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-    tests = (
-        (d1 <= 0) & (d2 <= 0),  # vertex A
-        (d3 >= 0) & (d4 <= d3),  # vertex B
-        (vc <= 0) & (d1 >= 0) & (d3 <= 0),  # edge AB
-        (d6 >= 0) & (d5 <= d6),  # vertex C
-        (vb <= 0) & (d2 >= 0) & (d6 <= 0),  # edge AC
-        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),  # edge BC
-    )
-    taken = np.zeros(d1.shape, dtype=bool)
-    regions = []
-    for test in tests:
-        regions.append(test & ~taken)
-        taken |= test
-    A, B, AB, C, AC, BC = regions
-    inside = ~taken
-    # q = base + s * edge + t * ac: base is a, or b on B and BC, or c on C;
-    # edge is ab, or c - b on BC
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = va + vb + vc
-        s = np.where(inside, vb / denom, 0.0)
-        s = np.where(AB, d1 / (d1 - d3), s)
-        s = np.where(BC, (d4 - d3) / ((d4 - d3) + (d5 - d6)), s)
-        t = np.where(inside, vc / denom, 0.0)
-        t = np.where(AC, d2 / (d2 - d6), t)
-    base = np.where((B | BC)[..., None], b, np.where(C[..., None], c, a))
-    edge = np.where(BC[..., None], c - b, ab)
-    q = base + s[..., None] * edge + t[..., None] * ac
-    bary = np.stack([
-        np.where(B | C | BC, 0.0, 1 - s - t),
-        np.where(B, 1.0, np.where(BC, 1 - s, s)),
-        np.where(C, 1.0, np.where(BC, s, t)),
-    ], axis=-1)
-    return q, bary
 
 
 def _edge_neighbors(T: np.ndarray) -> np.ndarray:
@@ -320,8 +261,8 @@ def calibration_defect(C: cur.TriCurrent, field, R=None) -> float:
         raise ValueError("defect requires a field with comass bound 1")
 
     def fn(points, tangents):
-        vals = cur._eval_form_many(field, points)
-        return 1.0 - np.einsum("pc,pc->p", vals, tangents)
+        vals = cur._eval_form_grouped(field, points)
+        return 1.0 - np.einsum("lqc,lc->lq", vals, tangents)
 
     return cur.integrate(C, fn, R)
 

@@ -120,9 +120,14 @@ class TriCurrent:
 
 
 class Polyline1Current:
-    """Oriented polygonal 1-current with integer multiplicities."""
+    """Oriented polygonal 1-current with integer multiplicities.
 
-    def __init__(self, points, segments, multiplicities, ordered=False):
+    `dropped` counts the sub-triangles a slice could not resolve into
+    chords at its depth cap (see `slice_sphere`); it is 0 otherwise.
+    """
+
+    def __init__(self, points, segments, multiplicities, ordered=False,
+                 dropped=0):
         P = np.array(points, dtype=float)
         S = np.array(segments, dtype=int).reshape(-1, 2)
         M = np.array(multiplicities, dtype=int).reshape(-1)
@@ -136,6 +141,7 @@ class Polyline1Current:
         self.segments = S
         self.multiplicities = M
         self.ordered = ordered  # segments form a traversal (loop output)
+        self.dropped = dropped
 
     def __len__(self):
         return len(self.segments)
@@ -231,11 +237,24 @@ class Region:
 
     @staticmethod
     def intersect(*parts) -> "Region":
-        return Region("intersect", parts=tuple(parts))
+        """The intersection of regions; nested intersections are flattened,
+        so every part is a basic region."""
+        flat = []
+        for p in parts:
+            flat.extend(p.parts if p.kind == "intersect" else (p,))
+        return Region("intersect", parts=tuple(flat))
 
     def indicator(self, x: np.ndarray) -> np.ndarray:
         """Boolean membership for points, shape (..., m)."""
         x = np.asarray(x, dtype=float)
+        if self.kind != "intersect":
+            return self._basic_indicator(x)
+        out = np.ones(x.shape[:-1], dtype=bool)
+        for p in self.parts:
+            out &= p._basic_indicator(x)
+        return out
+
+    def _basic_indicator(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "full":
             return np.ones(x.shape[:-1], dtype=bool)
         if self.kind == "ball":
@@ -261,11 +280,6 @@ class Region:
                 )
                 dmin = np.minimum(dmin, np.sqrt(d2))
             return dmin > self.eps * r
-        if self.kind == "intersect":
-            out = np.ones(x.shape[:-1], dtype=bool)
-            for p in self.parts:
-                out &= p.indicator(x)
-            return out
         raise ValueError(f"unknown region kind {self.kind!r}")
 
 
@@ -359,29 +373,54 @@ def _midpoint_children(corners):
     ]
 
 
-def _subdivide(tri, owner, area, R: Region, is_leaf):
+# base-4 digits a sub-triangle's path key holds, most significant first
+_PATH_DIGITS = 30
+
+
+def _subdivide(tri, owner, area, leaf_rule):
     """Level-synchronous midpoint subdivision of a frontier of sub-triangles.
 
     The frontier is held as corners (n, 3, m), the index of the owning
-    triangle and the area. At each depth `R.indicator` is called once, on
-    the corners and the centroid of every sub-triangle, giving membership
-    inn (n, 4) with the centroid last. `is_leaf(depth, inn, area)` marks the
-    sub-triangles that retire as leaves; the others are split into their
-    four midpoint children, each owning a quarter of the area. `is_leaf`
-    must retire every sub-triangle by some depth. Returns the leaves'
-    corners, owners, areas and inn, each concatenated over the depths.
+    triangle and the area. At each depth `leaf_rule(depth, tri, area)` is
+    called once on the whole frontier and returns a mask of the
+    sub-triangles that retire as leaves and a tuple of arrays with one row
+    per sub-triangle, which the leaves keep. The others are split into their
+    four midpoint children, each owning a quarter of the area. The rule must
+    retire every sub-triangle by some depth. Returns the leaves' corners,
+    owners, areas, path keys and kept arrays, each concatenated over the
+    depths. A path key holds the child indices from the owner down as
+    base-4 digits, most significant first, so sorting the leaves by owner
+    and key puts them in depth-first order.
     """
+    path = np.zeros(len(tri), dtype=np.int64)
     leaves = []
     for depth in itertools.count():
-        centroids = tri.mean(axis=1, keepdims=True)
-        inn = R.indicator(np.concatenate([tri, centroids], axis=1))
-        done = is_leaf(depth, inn, area)
-        leaves.append((tri[done], owner[done], area[done], inn[done]))
+        done, kept = leaf_rule(depth, tri, area)
+        leaves.append((tri[done], owner[done], area[done], path[done])
+                      + tuple(k[done] for k in kept))
         if np.all(done):
             return [np.concatenate(col) for col in zip(*leaves)]
         tri = np.concatenate(_midpoint_children(tri[~done]))
         owner = np.tile(owner[~done], 4)
         area = np.tile(area[~done] / 4.0, 4)
+        step = 4 ** (_PATH_DIGITS - 1 - depth)
+        path = np.concatenate([path[~done] + k * step for k in range(4)])
+
+
+def _membership_rule(R: Region, is_leaf):
+    """A `_subdivide` leaf rule on membership in R.
+
+    `R.indicator` is called on the corners and the centroid of every
+    sub-triangle, giving inn (n, 4) with the centroid last;
+    `is_leaf(depth, inn, area)` marks the leaves, which keep inn.
+    """
+
+    def rule(depth, tri, area):
+        centroids = tri.mean(axis=1, keepdims=True)
+        inn = R.indicator(np.concatenate([tri, centroids], axis=1))
+        return is_leaf(depth, inn, area), (inn,)
+
+    return rule
 
 
 _MASS_MAX_DEPTH = 9
@@ -416,8 +455,8 @@ def _subdiv_mass(C: TriCurrent, R: Region, rel_tol: float = 1e-4) -> float:
 
     # every leaf counts its area if its centroid is inside, whatever retired it
     owner = np.nonzero(~(all_in | all_out))[0]
-    _, owner, area, inn = _subdivide(
-        corners[owner], owner, C.areas[owner], R, is_leaf
+    _, owner, area, _, inn = _subdivide(
+        corners[owner], owner, C.areas[owner], _membership_rule(R, is_leaf)
     )
     per_triangle = np.bincount(owner, weights=area * inn[:, 3], minlength=len(C))
     return acc + float(per_triangle @ C.multiplicities)
@@ -448,11 +487,13 @@ def mass(C: TriCurrent, R: Region | None = None) -> float:
     return _subdiv_mass(C, R)
 
 
-def _eval_form_many(psi, points: np.ndarray) -> np.ndarray:
-    """Evaluate a 2-form field at many points; returns (P, n2) coefficients."""
+def _eval_form_grouped(psi, points: np.ndarray) -> np.ndarray:
+    """Evaluate a 2-form field at grouped points (L, k, m); returns the
+    coefficients (L, k, n2)."""
     if isinstance(psi, MultiForm):
-        return np.broadcast_to(psi.coeffs, (len(points), len(psi.coeffs)))
-    return psi.evaluate_many(points)
+        return np.broadcast_to(psi.coeffs, points.shape[:-1] + psi.coeffs.shape)
+    flat = psi.evaluate_many(points.reshape(-1, points.shape[-1]))
+    return flat.reshape(points.shape[:-1] + flat.shape[-1:])
 
 
 # relative change of a triangle's mean value that makes the quadrature keep
@@ -460,19 +501,29 @@ def _eval_form_many(psi, points: np.ndarray) -> np.ndarray:
 _REFINE_TOL = 1e-9
 
 
+def _quad_points(corners):
+    """The 7 quadrature points of each triangle in corners (T, 3, m), as
+    (T, 7, m): the barycentric sums of `einsum("qb,tbm->tqm", ...)`, in
+    the same order, without its slower general loop."""
+    W = TRI_QUAD_POINTS[:, :, None]
+    return (
+        W[:, 0] * corners[:, None, 0]
+        + W[:, 1] * corners[:, None, 1]
+        + W[:, 2] * corners[:, None, 2]
+    )
+
+
 def _quad_integrate(corners, tangents, areas, mults, fn):
     """Order-7 quadrature of a scalar field with one adaptive refinement pass.
 
-    fn(points (P, m), tangents (P, n2)) -> (P,) values.
+    fn(points (T, 7, m), tangents (T, n2)) -> (T, 7) values, as in
+    `integrate`.
     """
     if len(corners) == 0:
         return 0.0
 
     def once(crn):
-        pts = np.einsum("qb,tbm->tqm", TRI_QUAD_POINTS, crn)
-        flat = pts.reshape(-1, pts.shape[-1])
-        tans = np.repeat(tangents, 7, axis=0)
-        vals = np.asarray(fn(flat, tans), dtype=float).reshape(len(crn), 7)
+        vals = np.asarray(fn(_quad_points(crn), tangents), dtype=float)
         return vals @ TRI_QUAD_WEIGHTS
 
     coarse = once(corners)  # per-triangle mean value
@@ -490,8 +541,11 @@ _INTEGRATE_MAX_DEPTH = 5
 def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
     """Integral over ||C|| restricted to R of a pointwise scalar field.
 
-    fn(points (P, m), tangents (P, n2)) -> (P,); tangents are the unit
-    2-vector coefficients of the triangle each point sits on.
+    The integrand sees the quadrature points grouped by the (sub-)triangle
+    they lie on: fn(points (L, 7, m), tangents (L, n2)) -> (L, 7) values,
+    where tangents[l] is the unit 2-vector coefficient row of the triangle
+    under points[l]. An integrand should broadcast over any group size,
+    since `blowup` also calls its density with groups of one point.
 
     Triangles with every vertex inside R go through the order-7 quadrature
     with one adaptive refinement pass (`_quad_integrate`). Every other
@@ -525,18 +579,17 @@ def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
         )
 
     owner = np.nonzero(~all_in)[0]
-    tri, owner, area, _ = _subdivide(
-        corners[owner], owner, C.areas[owner], R, is_leaf
+    tri, owner, area, _, _ = _subdivide(
+        corners[owner], owner, C.areas[owner], _membership_rule(R, is_leaf)
     )
-    pts = np.einsum("qb,lbm->lqm", TRI_QUAD_POINTS, tri)
+    pts = _quad_points(tri)
     inn = R.indicator(pts)
     hit = np.any(inn, axis=1)
     if not np.any(hit):
         return acc
     pts, inn, owner, area = pts[hit], inn[hit], owner[hit], area[hit]
-    tans = np.repeat(C.tangents[owner], 7, axis=0)
-    vals = np.asarray(fn(pts.reshape(-1, C.m), tans), dtype=float)
-    per_leaf = (vals.reshape(-1, 7) * (TRI_QUAD_WEIGHTS * inn)).sum(axis=1)
+    vals = np.asarray(fn(pts, C.tangents[owner]), dtype=float)
+    per_leaf = (vals * (TRI_QUAD_WEIGHTS * inn)).sum(axis=1)
     return acc + float(np.sum(per_leaf * area * C.multiplicities[owner]))
 
 
@@ -555,8 +608,7 @@ def pair(C: TriCurrent, psi, R: Region | None = None) -> float:
             )
 
     def fn(points, tangents):
-        vals = _eval_form_many(psi, points)
-        return np.einsum("pc,pc->p", vals, tangents)
+        return np.einsum("lqc,lc->lq", _eval_form_grouped(psi, points), tangents)
 
     return integrate(C, fn, R)
 
@@ -595,6 +647,66 @@ def dilate(C: TriCurrent, x0, r: float) -> TriCurrent:
     return TriCurrent(V[used], remap[T], C.multiplicities[keep], clip_radius=1.0)
 
 
+def _dot(u, v):
+    """Row-wise inner products over the last axis."""
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _closest_points_on_triangles(p, a, b, c):
+    """Closest points of triangles (a, b, c) to p, with barycentrics.
+
+    Ericson, Real-Time Collision Detection, 5.1.5, on arrays: p, a, b and c
+    broadcast to (..., m); returns q (..., m) and the barycentric coordinates
+    (..., 3). Each Voronoi region is a mask, a pair belongs to the first
+    region in Ericson's order whose test holds, and each region's point and
+    coordinates use his arithmetic.
+    """
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    bp = p - b
+    cp = p - c
+    d1, d2 = _dot(ab, ap), _dot(ac, ap)
+    d3, d4 = _dot(ab, bp), _dot(ac, bp)
+    d5, d6 = _dot(ab, cp), _dot(ac, cp)
+    va = d3 * d6 - d5 * d4
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+    tests = (
+        (d1 <= 0) & (d2 <= 0),  # vertex A
+        (d3 >= 0) & (d4 <= d3),  # vertex B
+        (vc <= 0) & (d1 >= 0) & (d3 <= 0),  # edge AB
+        (d6 >= 0) & (d5 <= d6),  # vertex C
+        (vb <= 0) & (d2 >= 0) & (d6 <= 0),  # edge AC
+        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),  # edge BC
+    )
+    taken = np.zeros(d1.shape, dtype=bool)
+    regions = []
+    for test in tests:
+        regions.append(test & ~taken)
+        taken |= test
+    A, B, AB, C, AC, BC = regions
+    inside = ~taken
+    # q = base + s * edge + t * ac: base is a, or b on B and BC, or c on C;
+    # edge is ab, or c - b on BC
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = va + vb + vc
+        s = np.where(inside, vb / denom, 0.0)
+        s = np.where(AB, d1 / (d1 - d3), s)
+        s = np.where(BC, (d4 - d3) / ((d4 - d3) + (d5 - d6)), s)
+        t = np.where(inside, vc / denom, 0.0)
+        t = np.where(AC, d2 / (d2 - d6), t)
+    base = np.where((B | BC)[..., None], b, np.where(C[..., None], c, a))
+    edge = np.where(BC[..., None], c - b, ab)
+    q = base + s[..., None] * edge + t[..., None] * ac
+    bary = np.stack([
+        np.where(B | C | BC, 0.0, 1 - s - t),
+        np.where(B, 1.0, np.where(BC, 1 - s, s)),
+        np.where(C, 1.0, np.where(BC, s, t)),
+    ], axis=-1)
+    return q, bary
+
+
 def _regular_slice_radius(C: TriCurrent, x0, rho: float) -> float:
     d = np.linalg.norm(C.vertices - np.asarray(x0, float), axis=1)
     for k in range(6):
@@ -604,90 +716,112 @@ def _regular_slice_radius(C: TriCurrent, x0, rho: float) -> float:
     raise ValueError("no regular slice radius found near rho")
 
 
+_SLICE_MAX_DEPTH = 8
+
+
+def _sphere_crossings(tri, rho: float):
+    """Where the edges of sub-triangles cross the sphere |x| = rho.
+
+    tri (n, 3, m) holds corners relative to the sphere's center; edge e runs
+    from corner e to corner e + 1 (mod 3). Each edge has two root slots, so
+    returns, per slot (n, 6): the walk position e + t of a crossing at edge
+    parameter 0 < t < 1 (inf in an empty slot), the point (n, 6, m), and
+    whether moving along the edge leaves the ball there.
+    """
+    n, _, m = tri.shape
+
+    def dot(u, v):  # as a stack of vector `@`s, which sums like a 1-d `@`
+        return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+    D = tri[:, [1, 2, 0]] - tri
+    qa = dot(D, D)
+    qb = dot(tri, D)
+    qc = dot(tri, tri) - rho * rho
+    disc = qb * qb - qa * qc
+    ok = (disc > 0) & (qa != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        t = np.stack([(-qb - sq) / qa, (-qb + sq) / qa], axis=2)  # (n, 3, 2)
+    hit = ok[..., None] & (t > 0.0) & (t < 1.0)
+    t = np.where(hit, t, 0.0)
+    P = tri[:, :, None, :] + t[..., None] * D[:, :, None, :]
+    leaving = dot(P, D[:, :, None, :]) > 0.0
+    pos = np.where(hit, np.arange(3.0)[:, None] + t, np.inf)
+    return pos.reshape(n, 6), P.reshape(n, 6, m), leaving.reshape(n, 6)
+
+
 def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
     """Slice by the sphere |x - x0| = rho: chord segments per triangle.
 
     Chords inherit the triangle multiplicity and the orientation induced by
     the boundary of C restricted to the ball (exit point to entry point).
+
+    A (sub-)triangle meets the sphere when its closest point to x0 lies
+    inside the ball and a vertex lies outside. The triangles that meet it go
+    through `_subdivide`: a sub-triangle that meets it retires once its
+    edges cross the sphere an even, nonzero number of times, and is split
+    otherwise (a tangency, a vertex too close to the sphere, or the sphere's
+    trace inside its face), down to depth 8. Each retired leaf pairs every
+    exit with the next entry along its boundary walk, and points closer
+    than 1e-9 are merged. Leaves still unpaired at depth 8 are dropped and
+    counted in the result's `dropped`.
     """
     if rho <= 0:
         raise ValueError("slice radius must be positive")
     x0 = np.asarray(x0, dtype=float)
     rho = _regular_slice_radius(C, x0, rho)
-    V = C.vertices - x0
-    points = []
-    segs = []
-    mults = []
-    index = {}
-
-    def point_id(p):
-        key = tuple(np.round(p / 1e-9).astype(np.int64))
-        got = index.get(key)
-        if got is None:
-            got = len(points)
-            points.append(p)
-            index[key] = got
-        return got
-
-    def emit(tri, mult, depth):
-        d = np.linalg.norm(tri, axis=1)
-        if np.all(d <= rho) or np.all(d >= rho):
-            return
-        crossings = []  # (walk position, point, is_exit)
-        for e in range(3):
-            A = tri[e]
-            B = tri[(e + 1) % 3]
-            D = B - A
-            qa = float(D @ D)
-            qb = float(A @ D)
-            qc = float(A @ A - rho * rho)
-            disc = qb * qb - qa * qc
-            if disc <= 0 or qa == 0:
-                continue
-            sq = math.sqrt(disc)
-            for t in ((-qb - sq) / qa, (-qb + sq) / qa):
-                if 0.0 < t < 1.0:
-                    P = A + t * D
-                    # moving along the edge, are we leaving the ball?
-                    is_exit = float(P @ D) > 0.0
-                    crossings.append((e + t, P, is_exit))
-        crossings.sort(key=lambda c: c[0])
-        n = len(crossings)
-        if n % 2 or n == 0:
-            # tangency or a vertex too close to the sphere: refine
-            if depth >= 8:
-                return
-            m01 = 0.5 * (tri[0] + tri[1])
-            m12 = 0.5 * (tri[1] + tri[2])
-            m20 = 0.5 * (tri[2] + tri[0])
-            emit(np.array([tri[0], m01, m20]), mult, depth + 1)
-            emit(np.array([m01, tri[1], m12]), mult, depth + 1)
-            emit(np.array([m20, m12, tri[2]]), mult, depth + 1)
-            emit(np.array([m01, m12, m20]), mult, depth + 1)
-            return
-        for pos in range(n):
-            _, P, is_exit = crossings[pos]
-            if not is_exit:
-                continue
-            # chord runs from this exit to the next entry along the walk
-            for step in range(1, n + 1):
-                _, Q, q_exit = crossings[(pos + step) % n]
-                if not q_exit:
-                    ia = point_id(P)
-                    ib = point_id(Q)
-                    if ia != ib:
-                        segs.append((ia, ib))
-                        mults.append(int(mult))
-                    break
-
     corners = C.corners() - x0
     d = np.linalg.norm(corners, axis=2)
-    touch = np.nonzero((d.min(axis=1) < rho) & (d.max(axis=1) > rho))[0]
-    for k in touch:
-        emit(corners[k], C.multiplicities[k], 0)
-    if not segs:
-        return Polyline1Current(np.zeros((0, C.m)), np.zeros((0, 2), int), [])
-    return Polyline1Current(np.array(points) + x0, segs, mults)
+    # the nearest vertex is within the longest edge of the closest point
+    near = d.min(axis=1) < rho + C.longest_edges
+    cand = np.nonzero(near & (d.max(axis=1) > rho))[0]
+
+    def rule(depth, tri, area):
+        q, _ = _closest_points_on_triangles(0.0, tri[:, 0], tri[:, 1], tri[:, 2])
+        far = np.linalg.norm(tri, axis=2).max(axis=1) > rho
+        meets = (_dot(q, q) < rho * rho) & far
+        pos, pts, leaving = _sphere_crossings(tri, rho)
+        count = np.sum(np.isfinite(pos), axis=1)
+        paired = meets & (count > 0) & (count % 2 == 0)
+        done = ~meets | paired | (depth == _SLICE_MAX_DEPTH)
+        return done, (pos, pts, leaving, count, paired, meets & ~paired)
+
+    _, owner, _, path, pos, pts, leaving, count, paired, unpaired = _subdivide(
+        corners[cand], cand, C.areas[cand], rule
+    )
+    dropped = int(np.sum(unpaired))
+    # leaves in depth-first order, crossings in walk order within a leaf
+    leaf = np.lexsort((path, owner))
+    leaf = leaf[paired[leaf]]
+    walk = np.argsort(pos[leaf], axis=1, kind="stable")
+    pts = np.take_along_axis(pts[leaf], walk[..., None], axis=1)
+    leaving = np.take_along_axis(leaving[leaf], walk, axis=1)
+    n = count[leaf, None]
+    slot = np.arange(6)
+    # each exit's chord runs to the next entry along the walk
+    partner = np.full(leaving.shape, -1)
+    for step in range(1, 6):
+        j = (slot + step) % n
+        entry = ~np.take_along_axis(leaving, j, axis=1)
+        partner = np.where((partner < 0) & (step < n) & entry, j, partner)
+    rows, cols = np.nonzero((slot < n) & leaving & (partner >= 0))
+    if len(rows) == 0:
+        return Polyline1Current(np.zeros((0, C.m)), np.zeros((0, 2), int), [],
+                                dropped=dropped)
+    ends = np.stack([pts[rows, cols], pts[rows, partner[rows, cols]]], axis=1)
+    ends = ends.reshape(-1, C.m)
+    # one point per 1e-9 key, numbered in order of first appearance
+    _, first, inverse = np.unique(
+        np.round(ends / 1e-9).astype(np.int64),
+        axis=0, return_index=True, return_inverse=True,
+    )
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    segs = rank[inverse.reshape(-1)].reshape(-1, 2)
+    keep = segs[:, 0] != segs[:, 1]
+    mults = C.multiplicities[owner[leaf[rows]]]
+    return Polyline1Current(ends[np.sort(first)] + x0, segs[keep], mults[keep],
+                            dropped=dropped)
 
 
 def decompose_cycle(P: Polyline1Current):
@@ -696,7 +830,11 @@ def decompose_cycle(P: Polyline1Current):
     Mass is conserved exactly; repeated traversals are split into copies.
     """
     if not P.is_cycle():
-        raise ValueError("input is not a cycle")
+        why = "input is not a cycle"
+        if P.dropped:
+            why += (f" ({P.dropped} sub-triangles left unresolved at the"
+                    " slice depth cap were dropped)")
+        raise ValueError(why)
     # adjacency: list of directed edges per start vertex
     adj = {}
     for (a, b), mult in zip(P.segments, P.multiplicities):

@@ -147,6 +147,25 @@ def test_hopf_mass_non_complex_surface():
     assert hm > 0.1
 
 
+def _projection_gram(rel, e1, e2):
+    """Pullback inner products of the projectivization map x -> [x], in
+    complex arithmetic: the form `bl._frame_gram` replaced, kept here as
+    its oracle. rel, e1 and e2 broadcast to (..., m); returns (g11, g22,
+    g12)."""
+    z = bl._complex_rows(rel)
+    u1 = bl._complex_rows(e1)
+    u2 = bl._complex_rows(e2)
+    n2 = np.maximum(np.sum(z * np.conj(z), axis=-1).real, 1e-300)
+
+    def G(u, v):
+        uv = np.sum(u * np.conj(v), axis=-1)
+        uz = np.sum(u * np.conj(z), axis=-1)
+        zv = np.sum(z * np.conj(v), axis=-1)
+        return (uv * n2 - uz * zv) / n2**2
+
+    return G(u1, u1).real, G(u2, u2).real, G(u1, u2).real
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([4, 6]))
 def test_property_plane_frames(cusp, seed, m):
@@ -174,18 +193,100 @@ def test_property_plane_frames(cusp, seed, m):
     assert np.abs(np.einsum("pi,pi->p", e, f)).max() <= 1e-14
     for k, row in enumerate(rows):
         assert np.abs(xt.simple_2vector(e[k], f[k]).coeffs - row).max() <= 1e-14
-    # the projection integrands see the same plane as through plane_basis
+    # the projection integrands see the same plane as through plane_basis:
+    # the real-arithmetic gram on these frames, with a group of 7 points
+    # per plane, against the complex gram on plane_basis frames
     want = [xt.plane_basis(xt.MultiVector(m, 2, row)) for row in rows]
-    rel = rng.standard_normal((len(rows), m))
-    g11, g22, g12 = bl._projection_gram(rel, e, f)
-    r11, r22, r12 = bl._projection_gram(
-        rel, np.array([w[0] for w in want]), np.array([w[1] for w in want])
+    rel = rng.standard_normal((len(rows), 7, m))
+    g11, g22, g12 = bl._frame_gram(rel, e, f)
+    r11, r22, r12 = _projection_gram(
+        rel,
+        np.array([w[0] for w in want])[:, None, :],
+        np.array([w[1] for w in want])[:, None, :],
     )
-    assert np.allclose(g11 * g22 - g12**2, r11 * r22 - r12**2, rtol=0, atol=1e-12)
-    assert np.allclose(g11 + g22, r11 + r22, rtol=0, atol=1e-12)
+    det, rdet = g11 * g22 - g12**2, r11 * r22 - r12**2
+    assert np.all(np.abs(det - rdet) <= 1e-12 * np.maximum(1.0, np.abs(rdet)))
+    trace, rtrace = g11 + g22, r11 + r22
+    assert np.all(np.abs(trace - rtrace) <= 1e-12 * np.maximum(1.0, np.abs(rtrace)))
 
     e, f = xt.plane_frames(np.zeros((0, len(i))), m)
     assert e.shape == f.shape == (0, m)
+
+
+def _single_linkage_reference(points, threshold):
+    """Union-find over all pairs within the threshold: the loop form of
+    `bl._single_linkage`, kept here as its oracle."""
+    n = len(points)
+    parent = np.arange(n)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    D = bl._fs_dist_matrix(points, points)
+    for i in range(n):
+        ri = find(i)
+        for j in np.nonzero(D[i] < threshold)[0]:
+            rj = find(j)
+            if ri != rj:
+                parent[rj] = ri
+    return np.array([find(i) for i in range(n)])
+
+
+def _partition(labels):
+    return sorted(tuple(np.nonzero(labels == lab)[0]) for lab in np.unique(labels))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 3]))
+def test_property_single_linkage_matches_union_find(seed, n):
+    """Connected components give the union-find's partition, on points
+    scattered around a few centers in CP^{n-1}."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((rng.integers(1, 5), n, 2)) @ [1, 1j]
+    pick = rng.integers(len(centers), size=rng.integers(1, 60))
+    noise = rng.standard_normal((len(pick), n, 2)) @ [1, 1j]
+    z = centers[pick] + rng.uniform(0.0, 0.3) * noise
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    threshold = rng.uniform(0.02, 0.5)
+    labels = bl._single_linkage(z, threshold)
+    assert _partition(labels) == _partition(_single_linkage_reference(z, threshold))
+    # numbered in order of each cluster's lowest point index
+    firsts = [np.nonzero(labels == lab)[0][0] for lab in range(labels.max() + 1)]
+    assert firsts == sorted(firsts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 3]))
+def test_property_direction_phase(seed, n):
+    """Cluster representatives and the pole do not depend on the phase of
+    the eigenvector: the largest-modulus coordinate is real and positive,
+    and the pole is a unit vector orthogonal to the direction."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, 2)) @ [1, 1j]
+    rep = bl._unit_phase(z)
+    k = np.argmax(np.abs(rep))
+    assert rep[k].imag == 0.0 and rep[k].real > 0.0
+    assert np.linalg.norm(rep) == pytest.approx(1.0, abs=1e-15)
+    phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
+    assert np.abs(bl._unit_phase(phase * z) - rep).max() <= 1e-15
+    pole = bl._orthogonal_line(rep)
+    assert abs(np.vdot(rep, pole)) <= 1e-15
+    assert np.linalg.norm(pole) == pytest.approx(1.0, abs=1e-15)
+    if n == 2:
+        want = np.array([-np.conj(rep[1]), np.conj(rep[0])])
+        assert np.abs(bl._unit_phase(want) - pole).max() <= 1e-15
+
+
+def test_dirichlet_pole_is_canonical(graph_graded):
+    """The graded graph's dominant direction is [1 : 0]; its pole is (0, 1)
+    with the phase fixed: the second coordinate real and positive."""
+    ladder = 0.4 * 0.7 ** np.arange(2)
+    _, _, pole = bl.dirichlet_iteration(graph_graded, X0, ladder)
+    assert np.abs(pole - [0.0, 1.0]).max() <= 1e-12
+    assert pole[1].imag == 0.0 and pole[1].real > 0.0
 
 
 def test_directions_single_line(disk):

@@ -256,6 +256,159 @@ def test_slice_of_cycle_is_cycle():
     assert S.is_cycle()
 
 
+def _slice_sphere_reference(C, x0, rho):
+    """The recursive, one-triangle-at-a-time form of `cur.slice_sphere`.
+
+    Same candidates, leaf rule, depth cap, chord pairing and point merging
+    as the array form in the package; kept here as the oracle it is pinned
+    against. Returns the slice and the number of dropped sub-triangles.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    rho = cur._regular_slice_radius(C, x0, rho)
+    points, segs, mults, index = [], [], [], {}
+    dropped = 0
+
+    def point_id(p):
+        key = tuple(np.round(p / 1e-9).astype(np.int64))
+        if key not in index:
+            index[key] = len(points)
+            points.append(p)
+        return index[key]
+
+    def emit(tri, mult, depth):
+        nonlocal dropped
+        d = np.linalg.norm(tri, axis=1)
+        q, _ = cur._closest_points_on_triangles(0.0, tri[0], tri[1], tri[2])
+        if np.all(d <= rho) or q @ q >= rho * rho:
+            return
+        crossings = []  # (walk position, point, is_exit)
+        for e in range(3):
+            A, B = tri[e], tri[(e + 1) % 3]
+            D = B - A
+            qa, qb, qc = float(D @ D), float(A @ D), float(A @ A - rho * rho)
+            disc = qb * qb - qa * qc
+            if disc <= 0 or qa == 0:
+                continue
+            sq = math.sqrt(disc)
+            for t in ((-qb - sq) / qa, (-qb + sq) / qa):
+                if 0.0 < t < 1.0:
+                    P = A + t * D
+                    crossings.append((e + t, P, float(P @ D) > 0.0))
+        crossings.sort(key=lambda c: c[0])
+        n = len(crossings)
+        if n % 2 or n == 0:
+            if depth >= 8:
+                dropped += 1
+                return
+            for child in cur._midpoint_children(tri[None]):
+                emit(child[0], mult, depth + 1)
+            return
+        for pos in range(n):
+            _, P, is_exit = crossings[pos]
+            if not is_exit:
+                continue
+            for step in range(1, n + 1):
+                _, Q, q_exit = crossings[(pos + step) % n]
+                if not q_exit:
+                    ia, ib = point_id(P), point_id(Q)
+                    if ia != ib:
+                        segs.append((ia, ib))
+                        mults.append(int(mult))
+                    break
+
+    corners = C.corners() - x0
+    # emit's own first test, on all triangles at once
+    q, _ = cur._closest_points_on_triangles(0.0, *corners.transpose(1, 0, 2))
+    far = np.linalg.norm(corners, axis=2).max(axis=1) > rho
+    for k in np.nonzero(far & (np.einsum("ij,ij->i", q, q) < rho * rho))[0]:
+        emit(corners[k], C.multiplicities[k], 0)
+    if not segs:
+        empty = cur.Polyline1Current(np.zeros((0, C.m)), np.zeros((0, 2), int), [])
+        return empty, dropped
+    return cur.Polyline1Current(np.array(points) + x0, segs, mults), dropped
+
+
+def _assert_same_chords(S, ref):
+    """The same multiset of chords, endpoints to 1e-12, and multiplicities."""
+    assert len(S) == len(ref)
+    if len(S) == 0:
+        return
+
+    def chords(P):
+        ends = P.points[P.segments].reshape(len(P), -1)
+        rows = np.column_stack([ends, P.multiplicities])
+        return rows[np.lexsort(np.round(rows / 1e-6).T[::-1])]
+
+    a, b = chords(S), chords(ref)
+    assert np.array_equal(a[:, -1], b[:, -1])
+    assert np.abs(a[:, :-1] - b[:, :-1]).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_property_slice_matches_recursive_reference(seed):
+    """The array slice gives the recursive slice's chords on random
+    triangles, radii between the nearest and farthest vertex included."""
+    rng = np.random.default_rng(seed)
+    m = 4
+    pts = rng.standard_normal((12, m))
+    tris = [tuple(rng.choice(12, 3, replace=False)) for _ in range(8)]
+    C = cur.TriCurrent(pts, tris, rng.choice([-2, -1, 1, 2, 3], 8))
+    x0 = 0.3 * rng.standard_normal(m)
+    d = np.linalg.norm(C.vertices - x0, axis=1)
+    rho = rng.uniform(0.5 * d.min(), d.max())
+    S = cur.slice_sphere(C, x0, rho)
+    ref, dropped = _slice_sphere_reference(C, x0, rho)
+    _assert_same_chords(S, ref)
+    assert S.dropped == dropped
+
+
+@pytest.mark.parametrize("name", ["cusp", "disk", "two_lines", "graph"])
+def test_slice_matches_recursive_reference_on_shipped_meshes(name, disk, graph):
+    C = {"cusp": ex.cusp, "two_lines": lambda: ex.two_lines(h=0.08),
+         "disk": lambda: disk, "graph": lambda: graph}[name]()
+    for rho in np.random.default_rng(3).uniform(0.02, 0.6, 4):
+        S = cur.slice_sphere(C, np.zeros(4), rho)
+        ref, dropped = _slice_sphere_reference(C, np.zeros(4), rho)
+        _assert_same_chords(S, ref)
+        assert S.dropped == dropped == 0
+
+
+@pytest.mark.parametrize("rho", [0.028529656879914187, 0.48509073565661853])
+def test_slice_cusp_near_vertex_ring(rho):
+    """Triangles whose vertices all lie just outside the sphere, with an
+    edge dipping inside, carry their chords: the cusp slice is a cycle of
+    the closed-form length 2 pi t sqrt(4 + 9 t), t^2 + t^3 = rho^2."""
+    from scipy.optimize import brentq
+
+    S = cur.slice_sphere(ex.cusp(), np.zeros(4), rho)
+    t = brentq(lambda t: t**2 + t**3 - rho**2, 0.0, 1.0)
+    assert S.is_cycle()
+    assert S.dropped == 0
+    assert S.mass() == pytest.approx(2 * math.pi * t * math.sqrt(4 + 9 * t), rel=2e-2)
+
+
+def test_slice_counts_unresolved_tangency():
+    """A plane that meets the sphere in a circle far smaller than a depth-8
+    sub-triangle, inside the face: no edge crosses it at any depth, so the
+    sub-triangle holding it is dropped, counted and named by
+    decompose_cycle."""
+    off, radius = 1.0, 1e-5  # the plane's distance to 0, the circle's radius
+    rho = math.hypot(off, radius)
+    corners = np.array([[-3.0, -2.0], [4.0, -1.5], [-0.5, 4.0]])
+    V = np.column_stack([corners, np.full(3, off), np.zeros(3)])
+    C = cur.TriCurrent(V, [(0, 1, 2)], [1])
+    S = cur.slice_sphere(C, np.zeros(4), rho)
+    assert len(S) == 0
+    assert S.dropped == 1
+    ref, dropped = _slice_sphere_reference(C, np.zeros(4), rho)
+    assert dropped == 1
+    # a crafted non-cycle carrying the count
+    P = cur.Polyline1Current(np.eye(4)[:2], [(0, 1)], [1], dropped=S.dropped)
+    with pytest.raises(ValueError, match="1 sub-triangles"):
+        cur.decompose_cycle(P)
+
+
 def _circle_loop(rho=1.0, n=128, mult=1):
     th = 2 * np.pi * np.arange(n) / n
     pts = np.column_stack(
@@ -340,7 +493,7 @@ def test_calibration_bound(disk, graph):
         assert abs(cur.pair(C, om)) <= (1 + 1e-6) * cur.mass(C)
         # restricted comparison with both sides on the same quadrature
         R = cur.Region.ball(np.zeros(4), 0.5)
-        qmass = cur.integrate(C, lambda p, t: np.ones(len(p)), R)
+        qmass = cur.integrate(C, lambda p, t: np.ones(p.shape[:-1]), R)
         assert abs(cur.pair(C, om, R)) <= (1 + 1e-6) * qmass
 
 
@@ -371,21 +524,43 @@ def test_mesh_rejects_bad_records(tmp_path):
         cur.read_mesh(p)
 
 
+def _quad_integrate_reference(corners, tangents, areas, mults, fn):
+    """`cur._quad_integrate` on the pointwise contract: fn(points (P, m),
+    tangents (P, n2)) -> (P,), with each triangle's tangent row repeated
+    for its 7 points."""
+    if len(corners) == 0:
+        return 0.0
+
+    def once(crn):
+        pts = np.einsum("qb,tbm->tqm", cur.TRI_QUAD_POINTS, crn)
+        flat = pts.reshape(-1, pts.shape[-1])
+        tans = np.repeat(tangents, 7, axis=0)
+        vals = np.asarray(fn(flat, tans), dtype=float).reshape(len(crn), 7)
+        return vals @ cur.TRI_QUAD_WEIGHTS
+
+    coarse = once(corners)
+    fine = sum(once(ch) for ch in cur._midpoint_children(corners)) / 4.0
+    scale = np.abs(coarse).max()
+    use_fine = np.abs(fine - coarse) > cur._REFINE_TOL * max(scale, 1e-30)
+    return float(np.sum(np.where(use_fine, fine, coarse) * areas * mults))
+
+
 def _integrate_reference(C, fn, R=None):
     """The recursive, one-triangle-at-a-time form of `cur.integrate`.
 
     Same tree, leaf rule and depth cap as the level-synchronous loop in the
-    package; kept here as the oracle it is pinned against.
+    package, on the pointwise contract of `_quad_integrate_reference`; kept
+    here as the oracle it is pinned against.
     """
     R = cur._effective_region(C, R)
     corners = C.corners()
     if R.kind == "full":
-        return cur._quad_integrate(
+        return _quad_integrate_reference(
             corners, C.tangents, C.areas, C.multiplicities, fn
         )
     verts_in = R.indicator(corners)
     all_in = np.all(verts_in, axis=1)
-    acc = cur._quad_integrate(
+    acc = _quad_integrate_reference(
         corners[all_in],
         C.tangents[all_in],
         C.areas[all_in],
@@ -467,6 +642,8 @@ def _subdiv_mass_reference(C, R, rel_tol=1e-4):
 
 
 def _random_region(rng, kind, m):
+    if kind == "full":
+        return cur.Region.full()
     center = 0.3 * rng.standard_normal(m)
     if kind == "ball":
         return cur.Region.ball(center, rng.uniform(0.3, 1.5))
@@ -486,11 +663,13 @@ def _random_region(rng, kind, m):
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
-    st.sampled_from(["ball", "annulus", "cylinder", "cone_complement",
+    st.sampled_from(["full", "ball", "annulus", "cylinder", "cone_complement",
                      "dilated"]),
 )
 def test_property_integrate_matches_recursive_reference(seed, kind):
-    """The level-synchronous integrate agrees with the recursive one."""
+    """The level-synchronous integrate, with its integrand seeing one
+    tangent row per group of 7 points, agrees with the recursive one on the
+    pointwise contract."""
     rng = np.random.default_rng(seed)
     m = 4
     pts = rng.standard_normal((12, m))
@@ -508,12 +687,16 @@ def test_property_integrate_matches_recursive_reference(seed, kind):
     a = rng.standard_normal(m)
     b = rng.standard_normal(len(xt.blades(m, 2)))
 
-    def fn(p, t):
+    def fn_points(p, t):  # one tangent row per point
         return np.cos(p @ a) + (t @ b) ** 2 - 0.5
 
+    def fn(p, t):  # one tangent row per group of points
+        assert p.shape[1:] == (7, m) and t.shape == (len(p), len(b))
+        return np.cos(p @ a) + ((t @ b) ** 2)[:, None] - 0.5
+
     got = cur.integrate(C, fn, R)
-    want = _integrate_reference(C, fn, R)
-    scale = _integrate_reference(C, lambda p, t: np.abs(fn(p, t)), R)
+    want = _integrate_reference(C, fn_points, R)
+    scale = _integrate_reference(C, lambda p, t: np.abs(fn_points(p, t)), R)
     assert abs(got - want) <= 1e-12 * scale
 
 
