@@ -16,7 +16,6 @@ import numpy as np
 from scipy.optimize import curve_fit, linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from . import currents as cur
 from .exterior import blades, plane_frames
@@ -129,13 +128,10 @@ def density_trace(C: cur.TriCurrent, x0, r_max: float, N: int = 8,
     if r_max > extent:
         raise ValueError("r_max exceeds the mesh extent")
     radii = r_max * q ** np.arange(N)
-    if region_kind == "ball":
-        regions = [cur.Region.ball(x0, r) for r in radii]
-    elif region_kind == "cylinder":
-        regions = [cur.Region.cylinder(x0, r, axes) for r in radii]
-    else:
+    if region_kind not in ("ball", "cylinder"):
         raise ValueError("region_kind must be 'ball' or 'cylinder'")
-    masses = np.array([cur.mass(C, R) for R in regions])
+    masses = cur.mass_ladder(C, x0, radii,
+                             axes if region_kind == "cylinder" else None)
     return DensityTrace(x0, radii, masses)
 
 
@@ -424,14 +420,12 @@ def cone_concentration(C: cur.TriCurrent, x0, r: float,
 
 
 def _slice_energy(C: cur.TriCurrent, S: cur.Polyline1Current, x0) -> float:
-    """Integral of the projection energy density along a slice curve."""
+    """Integral of the projection energy density along a slice of C, each
+    chord with the tangent of the triangle it lies on."""
     if len(S) == 0:
         return 0.0
-    tree = cKDTree(C.centroids)
-    mids = S.midpoints()
-    _, idx = tree.query(mids)
     fn = gradient_energy_density(C, x0)
-    vals = fn(mids[:, None, :], C.tangents[idx])[:, 0]
+    vals = fn(S.midpoints()[:, None, :], C.tangents[S.owners])[:, 0]
     return float(np.sum(vals * S.lengths() * S.multiplicities))
 
 

@@ -184,9 +184,11 @@ def _write_csv(path, s, subcommand, columns, rows, extra=None):
 def _cmd_mass(s):
     C = _load_current(s)
     x0 = _center(None, s)
-    rows = [(r, cur.mass(C, cur.Region.ball(x0, r))) for r in _ladder(s)]
-    rows.append((math.inf, cur.mass(C)))
-    return ("r", "mass"), rows, [f"total_mass: {_fmt(cur.mass(C))}"]
+    radii = _ladder(s)
+    rows = list(zip(radii, cur.mass_ladder(C, x0, radii)))
+    total = cur.mass(C)
+    rows.append((math.inf, total))
+    return ("r", "mass"), rows, [f"total_mass: {_fmt(total)}"]
 
 
 def _cmd_density_sweep(s):

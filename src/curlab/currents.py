@@ -25,6 +25,7 @@ __all__ = [
     "Polyline1Current",
     "Region",
     "mass",
+    "mass_ladder",
     "integrate",
     "pair",
     "boundary",
@@ -124,10 +125,12 @@ class Polyline1Current:
 
     `dropped` counts the sub-triangles a slice could not resolve into
     chords at its depth cap (see `slice_sphere`); it is 0 otherwise.
+    `owners`, set on a slice, holds the index of the triangle each segment
+    lies on; it is None otherwise.
     """
 
     def __init__(self, points, segments, multiplicities, ordered=False,
-                 dropped=0):
+                 dropped=0, owners=None):
         P = np.array(points, dtype=float)
         S = np.array(segments, dtype=int).reshape(-1, 2)
         M = np.array(multiplicities, dtype=int).reshape(-1)
@@ -142,6 +145,7 @@ class Polyline1Current:
         self.multiplicities = M
         self.ordered = ordered  # segments form a traversal (loop output)
         self.dropped = dropped
+        self.owners = None if owners is None else np.asarray(owners, dtype=int)
 
     def __len__(self):
         return len(self.segments)
@@ -298,21 +302,10 @@ def _effective_region(C: TriCurrent, R: Region | None) -> Region:
     return Region.intersect(R, clip)
 
 
-def _ball_clip_areas(C: TriCurrent, center, r: float) -> np.ndarray:
-    """Exact per-triangle area inside the ball B_r(center)."""
-    center = np.asarray(center, dtype=float)
-    V = C.vertices - center
+def _ball_clip(C: TriCurrent, V, idx, r: float) -> np.ndarray:
+    """Exact areas inside the ball B_r of triangles idx, with the vertices
+    V relative to the ball's center: each plane meets the ball in a disk."""
     T = C.triangles
-    vd = np.linalg.norm(V, axis=1)
-    d = vd[T]  # (T, 3) vertex distances
-    out = np.zeros(len(T))
-    inside = np.all(d <= r, axis=1)
-    out[inside] = C.areas[inside]
-    # cheap reject: min vertex distance minus the longest edge
-    candidate = ~inside & (d.min(axis=1) < r + C.longest_edges)
-    idx = np.nonzero(candidate)[0]
-    if len(idx) == 0:
-        return out
     u1, u2 = plane_frames(C.tangents[idx], C.m)
     a = V[T[idx, 0]]  # first vertex in center-relative coordinates
     crel = -a  # center relative to the triangle's first vertex
@@ -320,31 +313,22 @@ def _ball_clip_areas(C: TriCurrent, center, r: float) -> np.ndarray:
     cy = np.einsum("ij,ij->i", crel, u2)
     off2 = np.einsum("ij,ij->i", crel, crel) - cx * cx - cy * cy
     near = off2 < r * r  # the plane meets the ball in a disk of radius rp
+    out = np.zeros(len(idx))
     idx, a, u1, u2, cx, cy = idx[near], a[near], u1[near], u2[near], cx[near], cy[near]
     rp = np.sqrt(r * r - off2[near])
     # triangle vertices in plane coordinates, disk center at origin
     p = V[T[idx]] - a[:, None, :]
     x = np.einsum("nkj,nj->nk", p, u1) - cx[:, None]
     y = np.einsum("nkj,nj->nk", p, u2) - cy[:, None]
-    out[idx] = np.abs(tri_disk_areas(np.stack([x, y], axis=2), rp))
+    out[near] = np.abs(tri_disk_areas(np.stack([x, y], axis=2), rp))
     return out
 
 
-def _cylinder_clip_areas(C: TriCurrent, center, r: float, axes) -> np.ndarray:
-    """Exact per-triangle area inside a coordinate cylinder."""
-    ax = list(axes)
-    center = np.asarray(center, dtype=float)
-    P2 = (C.vertices - center)[:, ax]  # projected vertices
-    T = C.triangles
-    q = P2[T]  # (T, 3, 2)
-    d = np.linalg.norm(q, axis=2)
-    out = np.zeros(len(T))
-    inside = np.all(d <= r, axis=1)
-    out[inside] = C.areas[inside]
-    edges = np.linalg.norm(q - q[:, [1, 2, 0], :], axis=2).max(axis=1)
-    candidate = ~inside & (d.min(axis=1) < r + edges)
-    idx = np.nonzero(candidate)[0]
-    v = q[idx]
+def _cylinder_clip(C: TriCurrent, P2, idx, r: float) -> np.ndarray:
+    """Exact areas inside the cylinder of radius r of triangles idx, with
+    the vertices P2 projected to its plane relative to its axis: the share
+    of each projection inside the disk, times the triangle's area."""
+    v = P2[C.triangles[idx]]
     signed2 = 0.5 * (
         (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
         - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
@@ -357,7 +341,70 @@ def _cylinder_clip_areas(C: TriCurrent, center, r: float, axes) -> np.ndarray:
     clipped = np.abs(tri_disk_areas(v, r))
     with np.errstate(divide="ignore", invalid="ignore"):
         share = np.minimum(clipped / np.abs(signed2), 1.0)
-    out[idx] = np.where(edge_on, vote, areas * share)
+    return np.where(edge_on, vote, areas * share)
+
+
+def _clip_sweep(C: TriCurrent, center, radii, axes=None):
+    """Exact per-triangle areas inside the balls B_r(center), or inside the
+    coordinate cylinders of radius r over the plane `axes`, for each r in
+    radii: a generator of one length-T array per radius, in order.
+
+    What does not depend on the radius is computed once: the vertex
+    distances to the center (projected to the `axes` plane for cylinders)
+    gathered per triangle, each triangle's nearest and farthest, and its
+    reach past its nearest vertex (the longest edge, projected for
+    cylinders). Per radius, a triangle whose farthest vertex lies within r
+    counts whole, one whose nearest vertex lies within r plus its reach is
+    clipped exactly, and the others count 0.
+    """
+    center = np.asarray(center, dtype=float)
+    T = C.triangles
+    V = C.vertices - center
+    if axes is None:
+        d = np.linalg.norm(V, axis=1)[T]
+        reach = C.longest_edges
+        clip, coords = _ball_clip, V
+    else:
+        P2 = V[:, list(axes)]  # projected vertices
+        d = np.linalg.norm(P2, axis=1)[T]
+        x, y = P2[:, 0][T], P2[:, 1][T]
+        dx, dy = x - x[:, [2, 0, 1]], y - y[:, [2, 0, 1]]
+        sq = dx * dx + dy * dy  # squared projected edge lengths
+        reach = np.sqrt(np.maximum(np.maximum(sq[:, 0], sq[:, 1]), sq[:, 2]))
+        clip, coords = _cylinder_clip, P2
+    dmin = np.minimum(np.minimum(d[:, 0], d[:, 1]), d[:, 2])
+    dmax = np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2])
+    for r in radii:
+        inside = dmax <= r
+        out = np.where(inside, C.areas, 0.0)
+        # cheap reject: the nearest vertex farther than r plus the reach
+        idx = np.nonzero(~inside & (dmin < r + reach))[0]
+        if len(idx):
+            out[idx] = clip(C, coords, idx, r)
+        yield out
+
+
+def mass_ladder(C: TriCurrent, center, radii, axes=None) -> np.ndarray:
+    """Masses of C in the balls B_r(center), or in the coordinate cylinders
+    over the plane `axes`, for each r in radii.
+
+    The same numbers as `mass` region by region, from one `_clip_sweep`
+    over the radii whose region stays a plain ball or cylinder under the
+    clip ball of C; the others go through `_subdiv_mass`.
+    """
+    radii = np.asarray(radii, dtype=float)
+    if axes is None:
+        regions = [Region.ball(center, r) for r in radii]
+    else:
+        regions = [Region.cylinder(center, r, axes) for r in radii]
+    effective = [_effective_region(C, R) for R in regions]
+    plain = np.array([E.kind != "intersect" for E in effective], dtype=bool)
+    out = np.empty(len(radii))
+    for k in np.nonzero(~plain)[0]:
+        out[k] = _subdiv_mass(C, effective[k])
+    sweep = _clip_sweep(C, center, radii[plain], axes)
+    for k, areas in zip(np.nonzero(plain)[0], sweep):
+        out[k] = np.sum(areas * C.multiplicities)
     return out
 
 
@@ -466,24 +513,23 @@ def mass(C: TriCurrent, R: Region | None = None) -> float:
     """Mass of C restricted to a region, M(C |_ R).
 
     Ball, annulus and cylinder restrictions are clipped exactly in each
-    triangle's plane (the boundary meets a plane in a circle); other regions
-    go through level-synchronous subdivision against the membership
-    indicator (`_subdiv_mass`).
+    triangle's plane (the boundary meets a plane in a circle), by the one-
+    or two-radius `_clip_sweep`; other regions go through level-synchronous
+    subdivision against the membership indicator (`_subdiv_mass`).
     """
     R = _effective_region(C, R)
     mult = C.multiplicities
     if R.kind == "full":
         return float(np.sum(C.areas * mult))
     if R.kind == "ball":
-        return float(np.sum(_ball_clip_areas(C, R.center, R.radius) * mult))
+        (areas,) = _clip_sweep(C, R.center, [R.radius])
+        return float(np.sum(areas * mult))
     if R.kind == "annulus":
-        outer = _ball_clip_areas(C, R.center, R.outer)
-        inner = _ball_clip_areas(C, R.center, R.inner)
+        outer, inner = _clip_sweep(C, R.center, [R.outer, R.inner])
         return float(np.sum((outer - inner) * mult))
     if R.kind == "cylinder":
-        return float(
-            np.sum(_cylinder_clip_areas(C, R.center, R.radius, R.axes) * mult)
-        )
+        (areas,) = _clip_sweep(C, R.center, [R.radius], R.axes)
+        return float(np.sum(areas * mult))
     return _subdiv_mass(C, R)
 
 
@@ -754,7 +800,8 @@ def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
     """Slice by the sphere |x - x0| = rho: chord segments per triangle.
 
     Chords inherit the triangle multiplicity and the orientation induced by
-    the boundary of C restricted to the ball (exit point to entry point).
+    the boundary of C restricted to the ball (exit point to entry point),
+    and the result's `owners` names the triangle each chord lies on.
 
     A (sub-)triangle meets the sphere when its closest point to x0 lies
     inside the ball and a vertex lies outside. The triangles that meet it go
@@ -807,7 +854,7 @@ def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
     rows, cols = np.nonzero((slot < n) & leaving & (partner >= 0))
     if len(rows) == 0:
         return Polyline1Current(np.zeros((0, C.m)), np.zeros((0, 2), int), [],
-                                dropped=dropped)
+                                dropped=dropped, owners=np.zeros(0, int))
     ends = np.stack([pts[rows, cols], pts[rows, partner[rows, cols]]], axis=1)
     ends = ends.reshape(-1, C.m)
     # one point per 1e-9 key, numbered in order of first appearance
@@ -819,9 +866,10 @@ def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
     rank[np.argsort(first)] = np.arange(len(first))
     segs = rank[inverse.reshape(-1)].reshape(-1, 2)
     keep = segs[:, 0] != segs[:, 1]
-    mults = C.multiplicities[owner[leaf[rows]]]
-    return Polyline1Current(ends[np.sort(first)] + x0, segs[keep], mults[keep],
-                            dropped=dropped)
+    owners = owner[leaf[rows]][keep]
+    return Polyline1Current(ends[np.sort(first)] + x0, segs[keep],
+                            C.multiplicities[owners], dropped=dropped,
+                            owners=owners)
 
 
 def decompose_cycle(P: Polyline1Current):

@@ -375,6 +375,40 @@ def test_goodslice_search(disk, graph, cusp):
             assert smass > 0
 
 
+
+def test_slice_energy_uses_the_chord_owner(cusp, graph):
+    """Each slice chord gets the tangent of the triangle it lies on, not of
+    the triangle with the nearest centroid."""
+    for C in (cusp, graph):
+        for rho in (0.1, 0.35):
+            S = cur.slice_sphere(C, X0, rho)
+            tri = C.corners()[S.owners]
+            mids = S.midpoints()
+            q, _ = cur._closest_points_on_triangles(
+                mids, tri[:, 0], tri[:, 1], tri[:, 2])
+            assert len(S) > 0 and len(S.owners) == len(S)
+            assert np.max(np.linalg.norm(q - mids, axis=1)) <= 1e-9
+    # the nearest-centroid tangents gave 4.864 here
+    S = cur.slice_sphere(cusp, X0, 0.1)
+    assert bl._slice_energy(cusp, S, X0) == pytest.approx(4.358, abs=5e-3)
+
+
+@pytest.mark.parametrize("region_kind", ["ball", "cylinder"])
+def test_density_trace_on_dilation_matches_mass(region_kind):
+    """On a dilated current, a ladder on both sides of the clip radius 1
+    gives the masses of `mass` region by region: the clip sweep inside the
+    clip ball, subdivision outside it or off its center."""
+    D = cur.dilate(ex.holomorphic_graph(k=2, h=0.1), X0, 0.5)
+    assert D.clip_radius == 1.0
+    for x0 in (X0, D.centroids[0]):
+        tr = bl.density_trace(D, x0, 1.1, N=4, q=0.8, region_kind=region_kind)
+        assert np.any(tr.radii > 1.0) and np.any(tr.radii < 1.0)
+        if region_kind == "ball":
+            regions = [cur.Region.ball(x0, r) for r in tr.radii]
+        else:
+            regions = [cur.Region.cylinder(x0, r) for r in tr.radii]
+        assert np.array_equal(tr.masses, [cur.mass(D, R) for R in regions])
+
 def test_dirichlet_iteration_flat(disk):
     ladder = 0.6 * 0.5 ** np.arange(4)
     energies, factors, _ = bl.dirichlet_iteration(disk, X0, ladder)

@@ -833,3 +833,116 @@ def test_property_tri_disk_areas_matches_reference(seed, kind, flip):
         e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
         signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         assert np.allclose(got, signed, rtol=1e-12, atol=1e-15)
+
+
+def _ball_clip_areas_reference(C, center, r):
+    """Exact per-triangle area inside the ball B_r(center), one radius at a
+    time: the per-radius form of `cur._clip_sweep` for balls."""
+    center = np.asarray(center, dtype=float)
+    V = C.vertices - center
+    T = C.triangles
+    vd = np.linalg.norm(V, axis=1)
+    d = vd[T]  # (T, 3) vertex distances
+    out = np.zeros(len(T))
+    inside = np.all(d <= r, axis=1)
+    out[inside] = C.areas[inside]
+    # cheap reject: min vertex distance minus the longest edge
+    candidate = ~inside & (d.min(axis=1) < r + C.longest_edges)
+    idx = np.nonzero(candidate)[0]
+    if len(idx) == 0:
+        return out
+    u1, u2 = xt.plane_frames(C.tangents[idx], C.m)
+    a = V[T[idx, 0]]  # first vertex in center-relative coordinates
+    crel = -a  # center relative to the triangle's first vertex
+    cx = np.einsum("ij,ij->i", crel, u1)
+    cy = np.einsum("ij,ij->i", crel, u2)
+    off2 = np.einsum("ij,ij->i", crel, crel) - cx * cx - cy * cy
+    near = off2 < r * r  # the plane meets the ball in a disk of radius rp
+    idx, a, u1, u2, cx, cy = idx[near], a[near], u1[near], u2[near], cx[near], cy[near]
+    rp = np.sqrt(r * r - off2[near])
+    # triangle vertices in plane coordinates, disk center at origin
+    p = V[T[idx]] - a[:, None, :]
+    x = np.einsum("nkj,nj->nk", p, u1) - cx[:, None]
+    y = np.einsum("nkj,nj->nk", p, u2) - cy[:, None]
+    out[idx] = np.abs(clip.tri_disk_areas(np.stack([x, y], axis=2), rp))
+    return out
+
+
+def _cylinder_clip_areas_reference(C, center, r, axes):
+    """Exact per-triangle area inside a coordinate cylinder, one radius at a
+    time: the per-radius form of `cur._clip_sweep` for cylinders."""
+    ax = list(axes)
+    center = np.asarray(center, dtype=float)
+    P2 = (C.vertices - center)[:, ax]  # projected vertices
+    T = C.triangles
+    q = P2[T]  # (T, 3, 2)
+    d = np.linalg.norm(q, axis=2)
+    out = np.zeros(len(T))
+    inside = np.all(d <= r, axis=1)
+    out[inside] = C.areas[inside]
+    edges = np.linalg.norm(q - q[:, [1, 2, 0], :], axis=2).max(axis=1)
+    candidate = ~inside & (d.min(axis=1) < r + edges)
+    idx = np.nonzero(candidate)[0]
+    v = q[idx]
+    signed2 = 0.5 * (
+        (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
+        - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
+    )
+    areas = C.areas[idx]
+    edge_on = np.abs(signed2) < 1e-12 * np.maximum(areas, 1e-12)
+    vote = np.where(np.linalg.norm(v.mean(axis=1), axis=1) <= r, areas, 0.0)
+    clipped = np.abs(clip.tri_disk_areas(v, r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.minimum(clipped / np.abs(signed2), 1.0)
+    out[idx] = np.where(edge_on, vote, areas * share)
+    return out
+
+
+def _clip_areas_reference(C, center, r, axes):
+    if axes is None:
+        return _ball_clip_areas_reference(C, center, r)
+    return _cylinder_clip_areas_reference(C, center, r, axes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([None, (0, 1), (2, 3)]),
+    st.sampled_from(["near", "far"]),
+)
+def test_property_clip_sweep_matches_per_radius_reference(seed, axes, where):
+    """One sweep over a ladder gives the per-radius clip areas and masses
+    bit for bit, for unsorted and repeated radii, radii that meet no
+    triangle or hold every triangle whole, and annuli."""
+    rng = np.random.default_rng(seed)
+    m = 4
+    n = int(rng.integers(1, 13))
+    pts = rng.standard_normal((10, m))
+    tris = [tuple(rng.choice(10, 3, replace=False)) for _ in range(n)]
+    C = cur.TriCurrent(pts, tris, rng.choice([-2, -1, 1, 2, 3], n))
+    center = 0.5 * rng.standard_normal(m)
+    if where == "far":  # every small radius misses every triangle
+        center += 20.0 * rng.standard_normal(m)
+    radii = rng.uniform(0.05, 3.0, 6)
+    radii = np.concatenate([radii, radii[:2], [1e-3, 1e3]])
+    rng.shuffle(radii)
+    mult = C.multiplicities
+    want = [_clip_areas_reference(C, center, r, axes) for r in radii]
+    got = list(cur._clip_sweep(C, center, radii, axes))
+    assert len(got) == len(radii)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(cur.mass_ladder(C, center, radii, axes),
+                          [np.sum(w * mult) for w in want])
+    for r, w in zip(radii, want):
+        if axes is None:
+            R = cur.Region.ball(center, r)
+        else:
+            R = cur.Region.cylinder(center, r, axes)
+        assert cur.mass(C, R) == float(np.sum(w * mult))
+    if axes is None:
+        inner, outer = np.sort(radii[:2])
+        if inner < outer:
+            want = np.sum((_ball_clip_areas_reference(C, center, outer)
+                           - _ball_clip_areas_reference(C, center, inner)) * mult)
+            got = cur.mass(C, cur.Region.annulus(center, inner, outer))
+            assert got == float(want)
