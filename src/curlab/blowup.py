@@ -18,7 +18,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import currents as cur
-from .exterior import blades, plane_frames
+from .exterior import (
+    _complex_rows,
+    _real_rows,
+    _times_i,
+    _wedge3_index,
+    plane_frames,
+)
 from .exterior import plane_basis  # noqa: F401  (perfbench/tracing.py wraps it)
 
 __all__ = [
@@ -149,6 +155,15 @@ def monotonicity_check(trace: DensityTrace, tol: float = 1e-6):
         seq = (np.exp(c1 * r) + c1 * r) * th
         return bool(np.all(np.diff(seq) >= -tol * scale))
 
+    return _smallest_drift(ok)
+
+
+def _smallest_drift(ok):
+    """Smallest c in [0, 1e3] with ok(c) by bisection; returns (c, passed).
+
+    (0, True) when ok(0) holds, (1e3, False) when ok(1e3) fails, and
+    otherwise the upper end of the bracket after 60 halvings.
+    """
     if ok(0.0):
         return 0.0, True
     lo, hi = 0.0, 1e3
@@ -161,23 +176,6 @@ def monotonicity_check(trace: DensityTrace, tol: float = 1e-6):
         else:
             lo = mid
     return hi, True
-
-
-_W3 = {}
-
-
-def _wedge3_index(m):
-    """Index arrays for the grade-3 coefficients of (2-vector) ^ (vector)."""
-    if m not in _W3:
-        from .exterior import pairs2
-
-        i2, j2 = pairs2(m)
-        lookup = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(i2, j2))}
-        rows = []
-        for (a, b, c) in blades(m, 3):
-            rows.append((lookup[(a, b)], c, lookup[(a, c)], b, lookup[(b, c)], a))
-        _W3[m] = tuple(np.array(col) for col in zip(*rows))
-    return _W3[m]
 
 
 def _wedge_tangent_vector_sq(tangents: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -213,18 +211,6 @@ def conical_defect(C: cur.TriCurrent, x0, s: float, r: float) -> float:
         return _wedge_tangent_vector_sq(tangents, rhat) / d2
 
     return cur.integrate(C, fn, cur.Region.annulus(x0, s, r))
-
-
-def _complex_rows(x: np.ndarray) -> np.ndarray:
-    return x[..., 0::2] + 1j * x[..., 1::2]
-
-
-def _times_i(x: np.ndarray) -> np.ndarray:
-    """Multiplication by i on R^m read as C^{m/2}: (x0, x1) -> (-x1, x0)."""
-    out = np.empty_like(x)
-    out[..., 0::2] = -x[..., 1::2]
-    out[..., 1::2] = x[..., 0::2]
-    return out
 
 
 def _frame_gram(rel, e, f):
@@ -394,14 +380,7 @@ def _plane_from_direction(z: np.ndarray) -> np.ndarray:
     """Real orthonormal basis (m, 2) of the complex line through z."""
     z = np.asarray(z, dtype=complex)
     z = z / np.linalg.norm(z)
-    m = 2 * len(z)
-    B = np.empty((m, 2))
-    B[0::2, 0] = z.real
-    B[1::2, 0] = z.imag
-    iz = 1j * z
-    B[0::2, 1] = iz.real
-    B[1::2, 1] = iz.imag
-    return B
+    return np.stack([_real_rows(z), _real_rows(1j * z)], axis=1)
 
 
 def cone_concentration(C: cur.TriCurrent, x0, r: float,

@@ -17,10 +17,13 @@ from . import currents as cur
 from .currents import _closest_points_on_triangles, _dot
 from .exterior import (
     MultiForm,
-    blades,
+    _complex_matrix,
+    _complex_rows,
+    _rows_from_skew,
+    _skew_from_rows,
+    _wedge3_index,
     comass2,  # noqa: F401  (perfbench/tracing.py wraps it)
     omega0,
-    pairs2,
     plane_frames,
 )
 
@@ -232,11 +235,8 @@ class TubularField(CalibrationField):
             w = np.where(nb[:, slot] >= 0, 0.5 * s[:, slot], 0.0)
             coeffs = coeffs + w[:, None] * (tangents[nb[:, slot]] - tangents[t])
         # comass: the largest singular value of each skew coefficient matrix
-        i, j = pairs2(self.m)
-        A = np.zeros((len(coeffs), self.m, self.m))
-        A[:, i, j] = coeffs
-        A[:, j, i] = -coeffs
-        cm = np.linalg.svd(A, compute_uv=False)[:, 0]
+        cm = np.linalg.svd(_skew_from_rows(coeffs, self.m),
+                           compute_uv=False)[:, 0]
         eta = _smoothstep_down((d - 0.5 * self.delta) / (0.5 * self.delta))
         with np.errstate(divide="ignore", invalid="ignore"):
             out[inside] = np.where(cm > 0, eta / cm, 0.0)[:, None] * coeffs
@@ -283,33 +283,22 @@ class FubiniStudy:
         self.n = n
         self.mreal = 2 * (n - 1)
         self.excluded_radius = excluded_radius
-        # complex representation of the real basis vectors
-        E = np.zeros((self.mreal, n - 1), dtype=complex)
-        for a in range(n - 1):
-            E[2 * a, a] = 1.0
-            E[2 * a + 1, a] = 1.0j
-        self._E = E
         self.field = CalibrationField(
             "fubini-study", self.mreal, self._form_coeffs, 1.0, closed=True
         )
 
-    def _complex(self, x):
-        x = np.asarray(x, dtype=float)
-        return x[0::2] + 1j * x[1::2]
-
     def _form_coeffs(self, x):
-        w = self._complex(x)
+        w = _complex_rows(x)
         K = 1.0 + float(np.vdot(w, w).real)
         H = np.eye(self.n - 1, dtype=complex) / K - np.outer(np.conj(w), w) / K**2
-        F = -np.imag(self._E @ H @ self._E.conj().T)
-        i, j = pairs2(self.mreal)
-        return F[i, j]
+        C = _complex_matrix(self.mreal)
+        return _rows_from_skew(-np.imag(C.T @ H @ C.conj()))
 
     def alpha(self, x) -> MultiForm:
         """Local primitive of the form; d(alpha) = omega on the chart."""
-        w = self._complex(x)
+        w = _complex_rows(x)
         K = 1.0 + float(np.vdot(w, w).real)
-        a = np.imag(self._E @ np.conj(w)) / (2.0 * K)
+        a = np.imag(_complex_matrix(self.mreal).T @ np.conj(w)) / (2.0 * K)
         return MultiForm(self.mreal, 1, a)
 
     def fs_distance(self, a, b) -> float:
@@ -340,8 +329,7 @@ def _real_2form_from_complex(m: int, terms):
         ):
             F[p, q] += s
             F[q, p] -= s
-    i, j = pairs2(m)
-    return F[i, j]
+    return _rows_from_skew(F)
 
 
 def special_legendrian(p: int = 3) -> CalibrationField:
@@ -355,7 +343,7 @@ def special_legendrian(p: int = 3) -> CalibrationField:
     m = 6
 
     def evaluator(x):
-        z = x[0::2] + 1j * x[1::2]
+        z = _complex_rows(x)
         terms = [(z[i], (i + 1) % 3, (i + 2) % 3) for i in range(3)]
         return _real_2form_from_complex(m, terms)
 
@@ -367,17 +355,9 @@ def exterior_derivative_fd(field, x, h: float = 1e-5) -> MultiForm:
     """Finite-difference exterior derivative of a 2-form field at a point."""
     x = np.asarray(x, dtype=float)
     m = field.m
-    i2, j2 = pairs2(m)
     # partials of every 2-form coefficient, from one call on the 2m stencil
     step = h * np.eye(m)
     vals = field.evaluate_many(np.concatenate([x + step, x - step]))
     grad = (vals[:m] - vals[m:]) / (2 * h)
-    lookup = {(int(a), int(b)): k for k, (a, b) in enumerate(zip(i2, j2))}
-    out = []
-    for (a, b, c) in blades(m, 3):
-        out.append(
-            grad[a][lookup[(b, c)]]
-            - grad[b][lookup[(a, c)]]
-            + grad[c][lookup[(a, b)]]
-        )
-    return MultiForm(m, 3, np.array(out))
+    kab, c, kac, b, kbc, a = _wedge3_index(m)
+    return MultiForm(m, 3, grad[a, kbc] - grad[b, kac] + grad[c, kab])

@@ -109,7 +109,7 @@ def _settings(args) -> dict:
     return merged
 
 
-def _center(s, settings) -> np.ndarray:
+def _center(settings) -> np.ndarray:
     try:
         return np.array([float(t) for t in str(settings["center"]).split(",")])
     except ValueError:
@@ -183,7 +183,7 @@ def _write_csv(path, s, subcommand, columns, rows, extra=None):
 
 def _cmd_mass(s):
     C = _load_current(s)
-    x0 = _center(None, s)
+    x0 = _center(s)
     radii = _ladder(s)
     rows = list(zip(radii, cur.mass_ladder(C, x0, radii)))
     total = cur.mass(C)
@@ -193,7 +193,7 @@ def _cmd_mass(s):
 
 def _cmd_density_sweep(s):
     C = _load_current(s)
-    x0 = _center(None, s)
+    x0 = _center(s)
     trace = bl.density_trace(C, x0, s["r_max"], N=s["n"], q=s["q"],
                              region_kind=s["gauge"])
     rows = list(zip(trace.radii, trace.masses, trace.theta, trace.normalized))
@@ -202,7 +202,7 @@ def _cmd_density_sweep(s):
 
 def _cmd_monotonicity(s):
     C = _load_current(s)
-    x0 = _center(None, s)
+    x0 = _center(s)
     trace = bl.density_trace(C, x0, s["r_max"], N=s["n"], q=s["q"],
                              region_kind=s["gauge"])
     c1, passed = bl.monotonicity_check(trace)
@@ -231,7 +231,7 @@ def _cmd_defect(s):
 
 def _cmd_hopf_mass(s):
     C = _load_current(s)
-    x0 = _center(None, s)
+    x0 = _center(s)
     rows = []
     for r in _ladder(s):
         rows.append((s["q"] * r, r, bl.hopf_projection_mass(C, x0, s["q"] * r, r)))
@@ -240,7 +240,7 @@ def _cmd_hopf_mass(s):
 
 def _cmd_directions(s):
     C = _load_current(s)
-    x0 = _center(None, s)
+    x0 = _center(s)
     r = s["radius"] if s["radius"] is not None else s["r_max"]
     D = bl.tangent_directions(C, x0, r, threshold=s["threshold"])
     rows = []
@@ -261,14 +261,14 @@ def _cmd_directions(s):
 
 def _cmd_uniqueness_gap(s):
     C = _load_current(s)
-    x0 = _center(None, s)
+    x0 = _center(s)
     rows = [(r, bl.uniqueness_gap(C, x0, r)) for r in _ladder(s)]
     return ("r", "gap"), rows, []
 
 
 def _cmd_goodslice(s):
     C = _load_current(s)
-    x0 = _center(None, s)
+    x0 = _center(s)
     rows = []
     for r in _ladder(s):
         try:
@@ -281,7 +281,7 @@ def _cmd_goodslice(s):
 
 def _cmd_dirichlet(s):
     C = _load_current(s)
-    x0 = _center(None, s)
+    x0 = _center(s)
     ladder = _ladder(s)
     energies, factors, pole = bl.dirichlet_iteration(C, x0, ladder)
     rows = [
@@ -295,10 +295,15 @@ def _cmd_dirichlet(s):
 
 def _cmd_rate_fit(s):
     C = _load_current(s)
-    x0 = _center(None, s)
+    x0 = _center(s)
     trace = bl.density_trace(C, x0, s["r_max"], N=max(s["n"], 6), q=s["q"],
                              region_kind=s["gauge"])
-    fit = bl.rate_fit(trace, mode=s["mode"], theta_hat=s["theta_hat"])
+    return _fit_table(bl.rate_fit(trace, mode=s["mode"],
+                                  theta_hat=s["theta_hat"]))
+
+
+def _fit_table(fit: bl.RateFit):
+    """The one-row table of a power-law fit."""
     rows = [(fit.theta_hat, fit.amplitude, fit.exponent, fit.residual_rms,
              fit.exact_cone)]
     cols = ("theta_hat", "amplitude", "exponent", "residual_rms", "exact_cone")
@@ -342,12 +347,8 @@ def _cmd_jholo_monotonicity(s):
 
 def _cmd_jholo_rate(s):
     u = _load_map(s)
-    fit = jh.map_rate_fit(u, _map_ladder(u, s), mode=s["mode"],
-                          theta_hat=s["theta_hat"])
-    rows = [(fit.theta_hat, fit.amplitude, fit.exponent, fit.residual_rms,
-             fit.exact_cone)]
-    cols = ("theta_hat", "amplitude", "exponent", "residual_rms", "exact_cone")
-    return cols, rows, []
+    return _fit_table(jh.map_rate_fit(u, _map_ladder(u, s), mode=s["mode"],
+                                      theta_hat=s["theta_hat"]))
 
 
 _COMMANDS = {

@@ -1,11 +1,14 @@
 """Exterior algebra over R^m (m even) with a fixed complex structure.
 
 Dense grade-1/2/3 multivectors and multiforms over the lexicographic blade
-basis, the standard complex structure J0 (J0 e_{2i-1} = e_{2i} in 1-based
-indexing), the standard symplectic 2-form omega0, comass computation and the
-canonical form of constant 2-forms, the Wirtinger calibration test, spectral
-decomposition of calibrated 2-vectors into complex lines, the sandwich bounds
-used by the projection mass estimate, and the near-calibrated splitting.
+basis with their skew-matrix and grade-3 index tables, the standard complex
+structure J0 (J0 e_{2i-1} = e_{2i} in 1-based indexing) and the complex
+coordinates z_a = x_{2a} + i x_{2a+1} (0-based) it induces, the standard
+symplectic 2-form omega0, comass computation and the canonical form of
+constant 2-forms, the Wirtinger calibration test, spectral decomposition of
+calibrated 2-vectors into complex lines, the sandwich bounds used by the
+projection mass estimate, and the near-calibrated splitting. The other
+modules take these conventions from here.
 
 Everything here is pure and operates on immutable data.
 """
@@ -84,8 +87,8 @@ def _check_dims(a, b):
 
 
 @dataclass(frozen=True)
-class MultiVector:
-    """Dense exterior vector of grade 1, 2 or 3 in R^m."""
+class _Blades:
+    """Dense grade-1, 2 or 3 coefficients over the blade basis of R^m."""
 
     m: int
     grade: int
@@ -106,59 +109,38 @@ class MultiVector:
         """Euclidean blade norm (= mass norm on simple vectors)."""
         return float(np.linalg.norm(self.coeffs))
 
-    def __add__(self, other: "MultiVector") -> "MultiVector":
+    def __add__(self, other):
         _check_dims(self, other)
         if self.grade != other.grade:
             raise ValueError("grade mismatch")
-        return MultiVector(self.m, self.grade, self.coeffs + other.coeffs)
+        return type(self)(self.m, self.grade, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "MultiVector") -> "MultiVector":
+    def __sub__(self, other):
         return self + (-1.0) * other
 
-    def __rmul__(self, s: float) -> "MultiVector":
-        return MultiVector(self.m, self.grade, float(s) * self.coeffs)
+    def __rmul__(self, s: float):
+        return type(self)(self.m, self.grade, float(s) * self.coeffs)
 
 
 @dataclass(frozen=True)
-class MultiForm:
+class MultiVector(_Blades):
+    """Dense exterior vector of grade 1, 2 or 3 in R^m."""
+
+
+@dataclass(frozen=True)
+class MultiForm(_Blades):
     """Covector counterpart of MultiVector; same blade layout.
 
     comass_bound, when set, is a declared upper bound for the value on unit
     simple k-vectors. It is advisory and checked by sampling in the tests.
     """
 
-    m: int
-    grade: int
-    coeffs: np.ndarray
     comass_bound: float | None = None
 
     def __post_init__(self):
-        if self.m % 2 or self.m <= 0:
-            raise ValueError("dimension must be positive and even")
-        if self.grade not in (1, 2, 3):
-            raise ValueError("grade must be 1, 2 or 3")
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (len(blades(self.m, self.grade)),):
-            raise ValueError("coefficient array has wrong length")
-        object.__setattr__(self, "coeffs", c)
-        c.flags.writeable = False
+        super().__post_init__()
         if self.comass_bound is not None and self.comass_bound < 0:
             raise ValueError("comass bound must be nonnegative")
-
-    def __add__(self, other: "MultiForm") -> "MultiForm":
-        _check_dims(self, other)
-        if self.grade != other.grade:
-            raise ValueError("grade mismatch")
-        return MultiForm(self.m, self.grade, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "MultiForm") -> "MultiForm":
-        return self + (-1.0) * other
-
-    def __rmul__(self, s: float) -> "MultiForm":
-        return MultiForm(self.m, self.grade, float(s) * self.coeffs)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -166,7 +148,7 @@ class ComplexStructure:
     """The standard complex structure: J e_{2i} = e_{2i+1} (0-based pairs)."""
 
     m: int
-    matrix: np.ndarray = field(default=None)  # type: ignore[assignment]
+    matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.m % 2 or self.m <= 0:
@@ -186,6 +168,42 @@ def standard_complex_structure(m: int) -> ComplexStructure:
     return ComplexStructure(m)
 
 
+@lru_cache(maxsize=None)
+def _complex_matrix(m: int) -> np.ndarray:
+    """The (m/2) x m matrix C with (C x)_a = x_{2a} + i x_{2a+1}."""
+    n = m // 2
+    C = np.zeros((n, m), dtype=complex)
+    for a in range(n):
+        C[a, 2 * a] = 1.0
+        C[a, 2 * a + 1] = 1.0j
+    C.flags.writeable = False
+    return C
+
+
+def _complex_rows(x) -> np.ndarray:
+    """Complex coordinates z_a = x_{2a} + i x_{2a+1} of real rows (..., m)."""
+    x = np.asarray(x, dtype=float)
+    return x[..., 0::2] + 1j * x[..., 1::2]
+
+
+def _real_rows(z) -> np.ndarray:
+    """The real rows (..., m) of complex rows (..., m/2); inverts _complex_rows."""
+    z = np.asarray(z)
+    x = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    x[..., 0::2] = z.real
+    x[..., 1::2] = z.imag
+    return x
+
+
+def _times_i(x: np.ndarray) -> np.ndarray:
+    """Multiplication by i on R^m read as C^{m/2}: (x0, x1) -> (-x1, x0),
+    which is J0 x."""
+    out = np.empty_like(x)
+    out[..., 0::2] = -x[..., 1::2]
+    out[..., 1::2] = x[..., 0::2]
+    return out
+
+
 def vector(m: int, v) -> MultiVector:
     return MultiVector(m, 1, np.asarray(v, dtype=float))
 
@@ -194,29 +212,34 @@ def form1(m: int, v) -> MultiForm:
     return MultiForm(m, 1, np.asarray(v, dtype=float))
 
 
+def _skew_from_rows(rows, m: int) -> np.ndarray:
+    """Skew matrices (..., m, m) with A[i, j] = c_{ij} for i < j, from
+    grade-2 coefficient rows (..., n2)."""
+    rows = np.asarray(rows, dtype=float)
+    i, j = pairs2(m)
+    A = np.zeros(rows.shape[:-1] + (m, m))
+    A[..., i, j] = rows
+    A[..., j, i] = -rows
+    return A
+
+
+def _rows_from_skew(A) -> np.ndarray:
+    """Grade-2 coefficient rows (..., n2) of skew matrices (..., m, m)."""
+    A = np.asarray(A, dtype=float)
+    i, j = pairs2(A.shape[-1])
+    return A[..., i, j]
+
+
 def skew_from_two_vector(x: MultiVector | MultiForm) -> np.ndarray:
     """Coefficient matrix A with A[i, j] = c_{ij} for i < j, skew-symmetric."""
     if x.grade != 2:
         raise ValueError("grade-2 input required")
-    i, j = pairs2(x.m)
-    A = np.zeros((x.m, x.m))
-    A[i, j] = x.coeffs
-    A[j, i] = -x.coeffs
-    return A
+    return _skew_from_rows(x.coeffs, x.m)
 
 
 def two_vector_from_skew(A: np.ndarray) -> MultiVector:
     A = np.asarray(A, dtype=float)
-    m = A.shape[0]
-    i, j = pairs2(m)
-    return MultiVector(m, 2, A[i, j])
-
-
-def _two_form_from_skew(A: np.ndarray, comass_bound=None) -> MultiForm:
-    A = np.asarray(A, dtype=float)
-    m = A.shape[0]
-    i, j = pairs2(m)
-    return MultiForm(m, 2, A[i, j], comass_bound)
+    return MultiVector(A.shape[0], 2, _rows_from_skew(A))
 
 
 def simple_2vector(v, w) -> MultiVector:
@@ -267,33 +290,44 @@ def _wedge_table(m: int, j: int, k: int):
             rows_o.append(out_lookup[tuple(sorted(merged))])
             signs.append(sign)
     return (
-        np.array(rows_a),
-        np.array(rows_b),
-        np.array(rows_o),
+        np.array(rows_a, dtype=int),
+        np.array(rows_b, dtype=int),
+        np.array(rows_o, dtype=int),
         np.array(signs, dtype=float),
     )
 
 
-def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
-    """Wedge product; bilinear, graded-anticommutative."""
+@lru_cache(maxsize=None)
+def _wedge3_index(m: int) -> tuple[np.ndarray, ...]:
+    """Index arrays (kab, c, kac, b, kbc, a), one entry per grade-3 blade
+    (a, b, c), with kxy the grade-2 blade index of (x, y).
+
+    For a 2-vector t and a vector v, (t ^ v)_abc = t_kab v_c - t_kac v_b
+    + t_kbc v_a; the same three terms give the exterior derivative of a
+    2-form from its partials. For m = 2 all six arrays are empty.
+    """
+    k = _blade_lookup(m, 2)
+    rows = [(k[a, b], c, k[a, c], b, k[b, c], a) for a, b, c in blades(m, 3)]
+    table = np.array(rows, dtype=int).reshape(-1, 6).T
+    table.flags.writeable = False
+    return tuple(table)
+
+
+def wedge(a, b):
+    """Wedge product; bilinear, graded-anticommutative.
+
+    Vectors and forms share one table (the blade bases are dual); the
+    result has the type of the inputs, which must agree.
+    """
     _check_dims(a, b)
+    if type(a) is not type(b):
+        raise TypeError("wedge of a vector and a form")
     if a.grade + b.grade > 3:
         raise ValueError("resulting grade exceeds 3")
     ia, ib, io, sg = _wedge_table(a.m, a.grade, b.grade)
     out = np.zeros(len(blades(a.m, a.grade + b.grade)))
     np.add.at(out, io, sg * a.coeffs[ia] * b.coeffs[ib])
-    return MultiVector(a.m, a.grade + b.grade, out)
-
-
-def wedge_form(a: MultiForm, b: MultiForm) -> MultiForm:
-    """Wedge of forms (same table; bases are dual)."""
-    _check_dims(a, b)
-    if a.grade + b.grade > 3:
-        raise ValueError("resulting grade exceeds 3")
-    ia, ib, io, sg = _wedge_table(a.m, a.grade, b.grade)
-    out = np.zeros(len(blades(a.m, a.grade + b.grade)))
-    np.add.at(out, io, sg * a.coeffs[ia] * b.coeffs[ib])
-    return MultiForm(a.m, a.grade + b.grade, out)
+    return type(a)(a.m, a.grade + b.grade, out)
 
 
 def contract(omega: MultiForm, v: MultiVector) -> MultiForm:
@@ -317,7 +351,7 @@ def radial_tangential_part(omega: MultiForm, x) -> MultiForm:
         raise ValueError("radial part undefined at the origin")
     rhat = vector(omega.m, x / nx)
     alpha = contract(omega, rhat)
-    return wedge_form(MultiForm(omega.m, 1, rhat.coeffs), alpha)
+    return wedge(MultiForm(omega.m, 1, rhat.coeffs), alpha)
 
 
 def _canonical_pairs(A: np.ndarray, tol: float = 1e-12):
@@ -439,16 +473,6 @@ def plane_frames(tangents: np.ndarray, m: int):
     return e.T, f.T
 
 
-def _complex_rows(m: int) -> np.ndarray:
-    """The (m/2) x m matrix C with (C x)_a = x_{2a} + i x_{2a+1}."""
-    n = m // 2
-    C = np.zeros((n, m), dtype=complex)
-    for a in range(n):
-        C[a, 2 * a] = 1.0
-        C[a, 2 * a + 1] = 1.0j
-    return C
-
-
 def hermitian_part(xi: MultiVector) -> np.ndarray:
     """Hermitian matrix of the (1,1)-component of a 2-vector.
 
@@ -456,17 +480,9 @@ def hermitian_part(xi: MultiVector) -> np.ndarray:
     this equals w w^H where w is v in complex coordinates.
     """
     X = skew_from_two_vector(xi)
-    C = _complex_rows(xi.m)
+    C = _complex_matrix(xi.m)
     H = 0.5j * (C @ X @ C.conj().T)
     return 0.5 * (H + H.conj().T)
-
-
-def _real_from_complex(w: np.ndarray) -> np.ndarray:
-    m = 2 * len(w)
-    v = np.empty(m)
-    v[0::2] = w.real
-    v[1::2] = w.imag
-    return v
 
 
 def wirtinger_check(xi: MultiVector, J: ComplexStructure, tol: float = 1e-6):
@@ -487,7 +503,7 @@ def wirtinger_check(xi: MultiVector, J: ComplexStructure, tol: float = 1e-6):
     if calibrated:
         H = hermitian_part(xi)
         mu, W = np.linalg.eigh(H)
-        v = _real_from_complex(W[:, -1])
+        v = _real_rows(W[:, -1])
         v /= np.linalg.norm(v)
         model = simple_2vector(v, J.apply(v))
         if np.linalg.norm(model.coeffs - xi.coeffs) > 1e-3:
@@ -514,7 +530,7 @@ def decompose_calibrated(tau: MultiVector, tol: float = CAL_TOL):
     for k in range(len(mu) - 1, -1, -1):
         if mu[k] <= 1e-12 * max(mass, 1.0):
             break
-        v = _real_from_complex(W[:, k])
+        v = _real_rows(W[:, k])
         v /= np.linalg.norm(v)
         out.append((float(mu[k]), simple_2vector(v, J.apply(v))))
     recon = np.zeros_like(tau.coeffs)
@@ -526,7 +542,7 @@ def decompose_calibrated(tau: MultiVector, tol: float = CAL_TOL):
 
 
 def vectest_constant(m: int) -> float:
-    """Fixed dimension constant for the sandwich bounds (set to 2m = 2 * m/2... )."""
+    """Fixed dimension constant for the sandwich bounds; it returns m."""
     return float(m)
 
 
@@ -576,7 +592,7 @@ def split_near_calibrated(
         raise ValueError(f"tau not calibrated by omega(x): value {val:.8f}")
     H = hermitian_part(tau)
     mu, W = np.linalg.eigh(H)
-    v = _real_from_complex(W[:, -1])
+    v = _real_rows(W[:, -1])
     v /= np.linalg.norm(v)
     J = ComplexStructure(tau.m)
     tau0 = simple_2vector(v, J.apply(v))

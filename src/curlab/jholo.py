@@ -16,6 +16,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from . import blowup as bl
+from .exterior import ComplexStructure
 
 __all__ = [
     "SampledMap",
@@ -315,29 +316,12 @@ def map_monotonicity_check(u: SampledMap, ladder, tol: float = 0.01):
         reverse = np.all(np.diff(down) <= (2 + c) * rad + tol * scale)
         return bool(direct and reverse)
 
-    if ok(0.0):
-        return 0.0, True
-    lo, hi = 0.0, 1e3
-    if not ok(hi):
-        return hi, False
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi, True
+    return bl._smallest_drift(ok)
 
 
 def target_structure(d: int) -> np.ndarray:
-    """Standard complex structure matrix on R^d (d even)."""
-    if d % 2:
-        raise ValueError("even target dimension required")
-    J = np.zeros((d, d))
-    for a in range(d // 2):
-        J[2 * a + 1, 2 * a] = 1.0
-        J[2 * a, 2 * a + 1] = -1.0
-    return J
+    """Standard complex structure matrix on R^d (d even); read-only."""
+    return ComplexStructure(d).matrix
 
 
 class AlmostComplexField:

@@ -401,6 +401,12 @@ def test_exterior_derivative_fd_matches_pointwise(tube_pair):
     x = np.array([1.0, 0.2, -0.3, 0.1, 0.0, 0.4])
     assert np.array_equal(cal.exterior_derivative_fd(sl, x).coeffs,
                           _exterior_derivative_fd_reference(sl, x))
+    # m = 2 has no grade-3 blades: d is the empty 3-form
+    for fs, x in ((cal.fubini_study(2), np.array([0.3, -0.7])),
+                  (cal.fubini_study(3), np.array([0.3, -0.7, 0.2, 0.5]))):
+        got = cal.exterior_derivative_fd(fs.field, x).coeffs
+        assert got.shape == (len(xt.blades(fs.mreal, 3)),)
+        assert np.array_equal(got, _exterior_derivative_fd_reference(fs.field, x))
 
 
 def test_defect_holomorphic_graph():

@@ -362,3 +362,69 @@ def test_property_plane_basis_reconstructs(seed):
     e, f = xt.plane_basis(xi)
     model = xt.simple_2vector(e, f)
     assert np.allclose(model.coeffs, xi.coeffs, atol=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 4, 6]),
+       st.integers(min_value=0, max_value=4))
+def test_property_skew_rows_round_trip(seed, m, count):
+    """The batched skew <-> blade-row converters invert each other and
+    agree row by row with skew_from_two_vector."""
+    rng = _rng(seed)
+    rows = rng.standard_normal((count, len(xt.blades(m, 2))))
+    A = xt._skew_from_rows(rows, m)
+    assert A.shape == (count, m, m)
+    assert np.array_equal(A, -np.swapaxes(A, 1, 2))
+    assert np.array_equal(xt._rows_from_skew(A), rows)
+    for row, skew in zip(rows, A):
+        assert np.array_equal(skew, xt.skew_from_two_vector(xt.MultiVector(m, 2, row)))
+        assert np.array_equal(skew, xt.skew_from_two_vector(xt.MultiForm(m, 2, row)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 4, 6]),
+       st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+def test_property_wedge_of_forms_matches_vectors(seed, m, grades):
+    rng = _rng(seed)
+    j, k = grades
+    a = rng.standard_normal(len(xt.blades(m, j)))
+    b = rng.standard_normal(len(xt.blades(m, k)))
+    form = xt.wedge(xt.MultiForm(m, j, a), xt.MultiForm(m, k, b))
+    vec = xt.wedge(xt.MultiVector(m, j, a), xt.MultiVector(m, k, b))
+    assert type(form) is xt.MultiForm and type(vec) is xt.MultiVector
+    assert form.grade == vec.grade == j + k
+    assert np.array_equal(form.coeffs, vec.coeffs)
+
+
+def test_wedge_rejects_mixed_types():
+    with pytest.raises(TypeError):
+        xt.wedge(xt.vector(4, [1, 0, 0, 0]), xt.form1(4, [0, 1, 0, 0]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 4, 6]))
+def test_property_complex_coordinates(seed, m):
+    """z_a = x_{2a} + i x_{2a+1}: row-wise, by the matrix, and inverted;
+    multiplication by i is J0."""
+    rng = _rng(seed)
+    x = rng.standard_normal((3, m))
+    z = xt._complex_rows(x)
+    assert np.array_equal(z, x @ xt._complex_matrix(m).T)
+    assert np.array_equal(xt._real_rows(z), x)
+    J = xt.ComplexStructure(m).matrix
+    assert np.array_equal(xt._times_i(x), x @ J.T)
+    assert np.array_equal(xt._complex_rows(xt._times_i(x)), 1j * z)
+
+
+def test_wedge3_index_tables():
+    for m in (2, 4, 6):
+        table = xt._wedge3_index(m)
+        assert len(table) == 6
+        assert all(col.dtype.kind == "i" and len(col) == len(xt.blades(m, 3))
+                   for col in table)
+    # (e_a ^ e_b) ^ e_c through the table is the blade (a, b, c)
+    m = 6
+    kab, c, kac, b, kbc, a = xt._wedge3_index(m)
+    for n, blade in enumerate(xt.blades(m, 3)):
+        assert (a[n], b[n], c[n]) == blade
+        assert kab[n] == xt.blade_index(m, blade[:2])
