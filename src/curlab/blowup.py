@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from . import currents as cur
 from .exterior import (
     _complex_rows,
+    _fs_dist_matrix,
     _real_rows,
     _times_i,
     _wedge3_index,
@@ -271,11 +272,6 @@ def gradient_energy_density(C: cur.TriCurrent, x0):
         return g11 + g22
 
     return fn
-
-
-def _fs_dist_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    c = np.abs(A @ np.conj(B).T)
-    return np.arccos(np.clip(c, 0.0, 1.0))
 
 
 def _single_linkage(points: np.ndarray, threshold: float) -> np.ndarray:

@@ -8,8 +8,6 @@ Legendrian form on R^6.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -19,6 +17,7 @@ from .exterior import (
     MultiForm,
     _complex_matrix,
     _complex_rows,
+    _fs_dist_matrix,
     _rows_from_skew,
     _skew_from_rows,
     _wedge3_index,
@@ -40,49 +39,32 @@ __all__ = [
 
 
 class CalibrationField:
-    """A position-dependent 2-form with a declared comass bound.
+    """A 2-form field on R^m: one batched function with a comass bound.
 
-    evaluate(x) returns the form at a point; evaluate_many(points) returns
-    raw coefficient rows and is the path the quadrature uses.
+    rows_many(points (P, m)) -> coefficient rows (P, n2) is the field;
+    evaluate_many applies it and evaluate(x) is its one-row case.
     """
 
-    def __init__(self, name, m, evaluator, comass_bound=1.0, closed=False,
-                 regularity="C2"):
-        self.name = name
+    def __init__(self, m, rows_many, comass_bound=1.0, closed=False):
         self.m = m
-        self._evaluator = evaluator
+        self.rows_many = rows_many
         self.comass_bound = comass_bound
         self.closed = closed
-        self.regularity = regularity
 
     def evaluate(self, x) -> MultiForm:
-        return MultiForm(self.m, 2, self._evaluator(np.asarray(x, float)),
-                         self.comass_bound)
+        return MultiForm(self.m, 2, self.evaluate_many(x)[0], self.comass_bound)
 
     def evaluate_many(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return np.array([self._evaluator(x) for x in points])
-
-
-class _ConstantField(CalibrationField):
-    def __init__(self, name, form: MultiForm, closed=True):
-        super().__init__(name, form.m, lambda x: form.coeffs,
-                         form.comass_bound, closed)
-        self.form = form
-
-    def evaluate(self, x) -> MultiForm:
-        return self.form
-
-    def evaluate_many(self, points) -> np.ndarray:
-        return np.broadcast_to(self.form.coeffs,
-                               (len(points), len(self.form.coeffs)))
+        return self.rows_many(np.asarray(points, dtype=float).reshape(-1, self.m))
 
 
 def standard_symplectic(m: int) -> CalibrationField:
     """The constant symplectic calibration; closed, comass 1."""
     if m % 2:
         raise ValueError("even dimension required")
-    return _ConstantField("standard-symplectic", omega0(m), closed=True)
+    w = omega0(m).coeffs
+    return CalibrationField(m, lambda points: np.broadcast_to(w, (len(points), len(w))),
+                            1.0, closed=True)
 
 
 def _smoothstep_down(t: np.ndarray | float):
@@ -121,6 +103,9 @@ class TubularField(CalibrationField):
     The nearest triangle is exact: the K_CANDIDATES nearest centroids are
     searched first, and a point is searched again with twice the candidates
     until no triangle outside them can be nearer (or within delta).
+
+    Its rows_many is a method, since it needs the search structures built
+    here; so __init__ sets m, comass_bound and closed itself.
     """
 
     BAND = 0.025  # barycentric half-width of the edge blending band
@@ -139,9 +124,9 @@ class TubularField(CalibrationField):
         self.rho_max = float(np.sqrt(_dot(spokes, spokes).max()))
         self.neighbors = _edge_neighbors(S.triangles)
         self._check_reach()
-        constant = bool(np.ptp(S.tangents, axis=0).max() < 1e-12)
-        super().__init__("tubular", S.m, None, 1.0, closed=constant,
-                         regularity="C1,1 across facets")
+        self.m = S.m
+        self.comass_bound = 1.0
+        self.closed = bool(np.ptp(S.tangents, axis=0).max() < 1e-12)
 
     def _check_reach(self):
         """Sampled nearest-point uniqueness: no second sheet inside 2*delta.
@@ -217,12 +202,12 @@ class TubularField(CalibrationField):
             lo, k = k, min(2 * k, len(self.S))
         return dist, tri, bary
 
-    def evaluate(self, x) -> MultiForm:
-        row = self.evaluate_many(np.reshape(np.asarray(x, float), (1, -1)))[0]
-        return MultiForm(self.m, 2, row, 1.0)
+    # the base class's methods, entered in this class's own namespace,
+    # where perfbench/tracing.py wraps them
+    evaluate = CalibrationField.evaluate
+    evaluate_many = CalibrationField.evaluate_many
 
-    def evaluate_many(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float).reshape(-1, self.m)
+    def rows_many(self, points) -> np.ndarray:
         tangents = self.S.tangents
         out = np.zeros((len(points), tangents.shape[1]))
         d, t, bary = self._locate(points)
@@ -283,16 +268,22 @@ class FubiniStudy:
         self.n = n
         self.mreal = 2 * (n - 1)
         self.excluded_radius = excluded_radius
-        self.field = CalibrationField(
-            "fubini-study", self.mreal, self._form_coeffs, 1.0, closed=True
-        )
+        self.field = CalibrationField(self.mreal, self._form_coeffs, 1.0,
+                                      closed=True)
 
-    def _form_coeffs(self, x):
-        w = _complex_rows(x)
-        K = 1.0 + float(np.vdot(w, w).real)
-        H = np.eye(self.n - 1, dtype=complex) / K - np.outer(np.conj(w), w) / K**2
-        C = _complex_matrix(self.mreal)
-        return _rows_from_skew(-np.imag(C.T @ H @ C.conj()))
+    def _form_coeffs(self, points):
+        """Rows of -Im(C^T H conj(C)) with H = I/K - conj(w) w^T/K^2 and
+        K = 1 + |w|^2: in real coordinates x_{2a}, x_{2a+1} of w_a the
+        blocks (2a + s, 2b + t) of that matrix are -Im H, Re H, -Re H and
+        -Im H for (s, t) = (0, 0), (0, 1), (1, 0) and (1, 1)."""
+        w = _complex_rows(points)
+        K = (1.0 + (np.conj(w) * w).real.sum(axis=-1))[:, None, None]
+        H = np.eye(self.n - 1) / K - np.conj(w)[:, :, None] * w[:, None, :] / K**2
+        F = np.empty((len(w), self.mreal, self.mreal))
+        F[:, 0::2, 0::2] = F[:, 1::2, 1::2] = -H.imag
+        F[:, 0::2, 1::2] = H.real
+        F[:, 1::2, 0::2] = -H.real
+        return _rows_from_skew(F)
 
     def alpha(self, x) -> MultiForm:
         """Local primitive of the form; d(alpha) = omega on the chart."""
@@ -305,31 +296,11 @@ class FubiniStudy:
         """Distance between projective classes of homogeneous vectors."""
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
-        c = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
-        return float(np.arccos(np.clip(c, 0.0, 1.0)))
+        return float(_fs_dist_matrix(a / np.linalg.norm(a), b / np.linalg.norm(b)))
 
 
 def fubini_study(n: int) -> FubiniStudy:
     return FubiniStudy(n)
-
-
-def _real_2form_from_complex(m: int, terms):
-    """Real part of sum c * dz_a ^ dz_b as real grade-2 coefficients.
-
-    terms: iterable of (c complex, a, b) with 0-based complex indices.
-    """
-    F = np.zeros((m, m))
-    for c, a, b in terms:
-        re, im = c.real, c.imag
-        xa, ya, xb, yb = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
-        # Re[(dx_a + i dy_a)^(dx_b + i dy_b)] parts
-        for (p, q, s) in (
-            (xa, xb, re), (ya, yb, -re),  # real part of dz^dz
-            (xa, yb, -im), (ya, xb, -im),  # minus Im coefficient times Im part
-        ):
-            F[p, q] += s
-            F[q, p] -= s
-    return _rows_from_skew(F)
 
 
 def special_legendrian(p: int = 3) -> CalibrationField:
@@ -340,15 +311,22 @@ def special_legendrian(p: int = 3) -> CalibrationField:
     """
     if p != 3:
         raise ValueError("only the three-complex-dimensional case is shipped")
-    m = 6
 
-    def evaluator(x):
-        z = _complex_rows(x)
-        terms = [(z[i], (i + 1) % 3, (i + 2) % 3) for i in range(3)]
-        return _real_2form_from_complex(m, terms)
+    def rows_many(points):
+        z = _complex_rows(points)
+        F = np.zeros((len(points), 6, 6))
+        for i in range(3):
+            re, im = z[:, i].real, z[:, i].imag
+            xa, xb = 2 * ((i + 1) % 3), 2 * ((i + 2) % 3)
+            ya, yb = xa + 1, xb + 1
+            # Re[z_i (dx_a + i dy_a) ^ (dx_b + i dy_b)]
+            for (r, s, c) in ((xa, xb, re), (ya, yb, -re),
+                              (xa, yb, -im), (ya, xb, -im)):
+                F[:, r, s] += c
+                F[:, s, r] -= c
+        return _rows_from_skew(F)
 
-    return CalibrationField("special-legendrian", m, evaluator,
-                            comass_bound=None, closed=False)
+    return CalibrationField(6, rows_many, comass_bound=None, closed=False)
 
 
 def exterior_derivative_fd(field, x, h: float = 1e-5) -> MultiForm:

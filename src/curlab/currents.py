@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,6 +77,8 @@ class TriCurrent:
             raise ValueError("vertices must be a 2d array")
         if T.ndim != 2 or T.shape[1] != 3:
             raise ValueError("triangles must be index triples")
+        if np.any((T < 0) | (T >= len(V))):
+            raise ValueError(f"vertex index outside [0, {len(V)})")
         if M.shape != (len(T),):
             raise ValueError("one multiplicity per triangle required")
         if np.any(M == 0):
@@ -959,6 +961,10 @@ def read_mesh(path) -> TriCurrent:
             if not line:
                 continue
             tok = line.split()
+            fields = {"dim": 1, "tri": 4}.get(tok[0])
+            if fields is not None and len(tok) - 1 != fields:
+                raise ValueError(f"line {lineno}: {tok[0]!r} record with "
+                                 f"{len(tok) - 1} fields, expected {fields}")
             if tok[0] == "dim":
                 m = int(tok[1])
             elif tok[0] == "vertex":
@@ -969,7 +975,7 @@ def read_mesh(path) -> TriCurrent:
                     raise ValueError(f"line {lineno}: expected {m} coordinates")
                 verts.append(x)
             elif tok[0] == "tri":
-                i, j, k, mult = (int(t) for t in tok[1:5])
+                i, j, k, mult = (int(t) for t in tok[1:])
                 tris.append((i, j, k))
                 mults.append(mult)
             else:

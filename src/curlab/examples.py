@@ -7,8 +7,6 @@ geometrically toward the origin so small-radius masses stay accurate.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .currents import TriCurrent

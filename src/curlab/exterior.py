@@ -36,7 +36,6 @@ __all__ = [
     "skew_from_two_vector",
     "simple_2vector",
     "omega0",
-    "standard_complex_structure",
     "pairing",
     "wedge",
     "contract",
@@ -164,10 +163,6 @@ class ComplexStructure:
         return self.matrix @ np.asarray(v, dtype=float)
 
 
-def standard_complex_structure(m: int) -> ComplexStructure:
-    return ComplexStructure(m)
-
-
 @lru_cache(maxsize=None)
 def _complex_matrix(m: int) -> np.ndarray:
     """The (m/2) x m matrix C with (C x)_a = x_{2a} + i x_{2a+1}."""
@@ -193,6 +188,13 @@ def _real_rows(z) -> np.ndarray:
     x[..., 0::2] = z.real
     x[..., 1::2] = z.imag
     return x
+
+
+def _fs_dist_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Fubini-Study distances arccos |<a, b>| between the classes of the
+    unit complex rows of A (k, n) and B (l, n), as a (k, l) matrix."""
+    c = np.abs(A @ np.conj(B).T)
+    return np.arccos(np.clip(c, 0.0, 1.0))
 
 
 def _times_i(x: np.ndarray) -> np.ndarray:

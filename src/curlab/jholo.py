@@ -24,7 +24,6 @@ __all__ = [
     "VectorField",
     "radial_bump_field",
     "random_bump_field",
-    "target_structure",
     "map_example",
     "MAP_EXAMPLE_NAMES",
     "scaled_energy",
@@ -319,11 +318,6 @@ def map_monotonicity_check(u: SampledMap, ladder, tol: float = 0.01):
     return bl._smallest_drift(ok)
 
 
-def target_structure(d: int) -> np.ndarray:
-    """Standard complex structure matrix on R^d (d even); read-only."""
-    return ComplexStructure(d).matrix
-
-
 class AlmostComplexField:
     """Domain almost complex structure J(x) with J(0) the standard one.
 
@@ -333,13 +327,13 @@ class AlmostComplexField:
     """
 
     def __init__(self, matrix_many_fn, slope: float = 0.0):
-        self.J0 = target_structure(4)
+        self.J0 = ComplexStructure(4).matrix
         self._many = matrix_many_fn
         self.slope = slope
 
     @staticmethod
     def standard() -> "AlmostComplexField":
-        J0 = target_structure(4)
+        J0 = ComplexStructure(4).matrix
         return AlmostComplexField(
             lambda pts: np.broadcast_to(J0, (len(pts), 4, 4)), slope=0.0
         )
@@ -347,7 +341,7 @@ class AlmostComplexField:
     @staticmethod
     def perturbed(c: float, seed: int = 11) -> "AlmostComplexField":
         """Slope-c perturbation J(x) = T(x) J0 T(x)^{-1}, T = I + c x_1 K."""
-        J0 = target_structure(4)
+        J0 = ComplexStructure(4).matrix
         rng = np.random.default_rng(seed)
         K = rng.normal(size=(4, 4))
         K /= np.linalg.norm(K, 2)
@@ -364,7 +358,7 @@ class AlmostComplexField:
 
         jac_many_fn maps points (P, 4) to the Jacobians D psi (P, 4, 4).
         """
-        J0 = target_structure(4)
+        J0 = ComplexStructure(4).matrix
 
         def many(pts):
             D = jac_many_fn(pts)
@@ -482,7 +476,7 @@ def inner_variation_residual(u: SampledMap, xi: VectorField,
     gram = np.einsum("pai,paj->pij", Du, Du)
     div = np.einsum("pii->p", Dxi)
     lhs = dens * div - 2.0 * np.einsum("pij,pij->p", gram, Dxi)
-    B = target_structure(u.d)
+    B = ComplexStructure(u.d).matrix
     J0 = J.J0
     rhs = np.zeros(len(pts))
     if J.slope != 0.0:

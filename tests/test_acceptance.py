@@ -119,7 +119,7 @@ def test_two_lines_cone_structure():
         D = bl.tangent_directions(lines, X0, 0.5)
         assert len(D) == 2
         assert np.abs(D.weights - 1.0).max() <= 0.02
-        dist = bl._fs_dist_matrix(D.representatives, D.representatives)[0, 1]
+        dist = xt._fs_dist_matrix(D.representatives, D.representatives)[0, 1]
         assert abs(dist - math.pi / 2) <= 0.02
         for s, r in ((0.2, 0.4), (0.3, 0.6)):
             assert bl.hopf_projection_mass(lines, X0, s, r) <= 1e-6
@@ -168,7 +168,7 @@ def test_pointwise_algebra_battery():
     with _budget(60):
         rng = np.random.default_rng(101)
         m = 4
-        J = xt.standard_complex_structure(m)
+        J = xt.ComplexStructure(m)
         om = xt.omega0(m)
         i2, j2 = xt.pairs2(m)
 
@@ -181,7 +181,7 @@ def test_pointwise_algebra_battery():
         assert vals.min() >= -1.0 - 1e-9
 
         for mm in (4, 6, 8):
-            Jm = xt.standard_complex_structure(mm)
+            Jm = xt.ComplexStructure(mm)
             for _ in range(100):
                 dec = []
                 for _ in range(rng.integers(1, mm // 2 + 1)):

@@ -225,7 +225,7 @@ def _single_linkage_reference(points, threshold):
             a = parent[a]
         return a
 
-    D = bl._fs_dist_matrix(points, points)
+    D = xt._fs_dist_matrix(points, points)
     for i in range(n):
         ri = find(i)
         for j in np.nonzero(D[i] < threshold)[0]:
@@ -300,7 +300,7 @@ def test_directions_two_lines(lines):
     D = bl.tangent_directions(lines, X0, 0.5)
     assert len(D) == 2
     assert np.abs(D.weights - 1.0).max() <= 0.02
-    dist = bl._fs_dist_matrix(D.representatives, D.representatives)[0, 1]
+    dist = xt._fs_dist_matrix(D.representatives, D.representatives)[0, 1]
     assert dist == pytest.approx(math.pi / 2, abs=0.02)
 
 

@@ -494,6 +494,70 @@ def test_fubini_study_distance():
     assert fs.fs_distance([1, 1], [2, 2]) == pytest.approx(0.0, abs=1e-7)
 
 
+def _fs_rows_reference(n, x):
+    """The per-point Fubini-Study evaluator the batched field replaced."""
+    m = 2 * (n - 1)
+    w = xt._complex_rows(x)
+    K = 1.0 + float(np.vdot(w, w).real)
+    H = np.eye(n - 1, dtype=complex) / K - np.outer(np.conj(w), w) / K**2
+    C = xt._complex_matrix(m)
+    return xt._rows_from_skew(-np.imag(C.T @ H @ C.conj()))
+
+
+def _sl_rows_reference(x):
+    """The per-point Special Legendrian evaluator the batched field replaced."""
+    z = xt._complex_rows(x)
+    F = np.zeros((6, 6))
+    for i in range(3):
+        re, im = z[i].real, z[i].imag
+        xa, xb = 2 * ((i + 1) % 3), 2 * ((i + 2) % 3)
+        ya, yb = xa + 1, xb + 1
+        for (p, q, s) in ((xa, xb, re), (ya, yb, -re), (xa, yb, -im), (ya, xb, -im)):
+            F[p, q] += s
+            F[q, p] -= s
+    return xt._rows_from_skew(F)
+
+
+def _batched_case(which):
+    """(field, per-point reference, closed, comass bound, tolerance)."""
+    if which.startswith("fs"):
+        n = int(which[2:])
+        return (cal.fubini_study(n).field, lambda x: _fs_rows_reference(n, x),
+                True, 1.0, 1e-15)
+    if which == "sl":
+        return cal.special_legendrian(), _sl_rows_reference, False, None, 0.0
+    w = xt.omega0(4).coeffs
+    return cal.standard_symplectic(4), lambda x: w, True, 1.0, 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from(["fs2", "fs3", "fs4", "sl", "omega0"]),
+       st.integers(min_value=0, max_value=16))
+def test_property_batched_fields_match_pointwise(seed, which, P):
+    """Each field's batch rows agree with the per-point evaluator it
+    replaced (Fubini-Study within 1e-15, the others bit for bit), and
+    evaluate(x) is its batch row with the field's comass bound."""
+    field, reference, closed, bound, tol = _batched_case(which)
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((P, field.m)) * rng.uniform(0.05, 4.0)
+    n2 = len(xt.blades(field.m, 2))
+    rows = field.evaluate_many(pts)
+    assert rows.shape == (P, n2)
+    assert field.evaluate_many(np.empty((0, field.m))).shape == (0, n2)
+    want = np.array([reference(x) for x in pts]).reshape(P, n2)
+    if tol:
+        assert np.abs(rows - want).max(initial=0.0) <= tol
+    else:
+        assert np.array_equal(rows, want)
+    for x, row in zip(pts, rows):
+        om = field.evaluate(x)
+        assert om.coeffs.tobytes() == row.tobytes()
+        assert om.comass_bound == bound
+    assert field.closed is closed
+    assert field.comass_bound == bound
+
+
 def test_special_legendrian_base_point():
     field = cal.special_legendrian()
     om = field.evaluate(np.array([1.0, 0, 0, 0, 0, 0]))

@@ -166,6 +166,18 @@ def test_mesh_file_missing(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("tri", ["0 1 7 1", "-1 0 1 1", "0 1 2 1 5"])
+def test_mesh_file_bad_triangle(tmp_path, capsys, tri):
+    """An index past the last vertex, a negative index (which would wrap to
+    the last vertex) and a trailing field each fail to load."""
+    mesh = tmp_path / "bad.txt"
+    mesh.write_text("dim 4\nvertex 0 0 0 0\nvertex 1 0 0 0\nvertex 0 1 0 0\n"
+                    f"tri {tri}\n")
+    rc = cli.run(["mass", "--mesh", str(mesh), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "cannot load mesh" in capsys.readouterr().err
+
+
 def test_directions_output(tmp_path):
     rc = cli.run(["directions", "--example", "two-lines", "--h", "0.05",
                   "--radius", "0.5", "--out", str(tmp_path)])

@@ -524,6 +524,21 @@ def test_mesh_rejects_bad_records(tmp_path):
         cur.read_mesh(p)
 
 
+@pytest.mark.parametrize("tri", [(0, 1, 3), (-1, 0, 1)])
+def test_tricurrent_rejects_vertex_index_out_of_range(tri):
+    with pytest.raises(ValueError, match="vertex index"):
+        cur.TriCurrent(np.eye(3, 4), [tri], [1])
+
+
+@pytest.mark.parametrize("record", ["tri 0 1 2 1 5", "tri 0 1 2", "dim 4 4"])
+def test_mesh_rejects_wrong_field_count(tmp_path, record):
+    p = tmp_path / "bad.txt"
+    p.write_text("dim 4\nvertex 0 0 0 0\nvertex 1 0 0 0\nvertex 0 1 0 0\n"
+                 + record + "\n")
+    with pytest.raises(ValueError, match="line 5"):
+        cur.read_mesh(p)
+
+
 def _quad_integrate_reference(corners, tangents, areas, mults, fn):
     """`cur._quad_integrate` on the pointwise contract: fn(points (P, m),
     tangents (P, n2)) -> (P,), with each triangle's tangent row repeated

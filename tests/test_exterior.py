@@ -203,9 +203,17 @@ def test_canonicalize_reconstruction():
             assert np.allclose(Q @ B @ Q.T, A, atol=1e-10)
 
 
+def test_complex_structure_validation():
+    with pytest.raises(ValueError):
+        xt.ComplexStructure(3)
+    J = xt.ComplexStructure(6).matrix
+    assert np.allclose(J @ J, -np.eye(6))
+    assert not J.flags.writeable
+
+
 def test_wirtinger_complex_line():
     m = 4
-    J = xt.standard_complex_structure(m)
+    J = xt.ComplexStructure(m)
     v = _unit(np.array([1.0, 2.0, -0.5, 0.3]))
     xi = xt.simple_2vector(v, J.apply(v))
     xi = xt.MultiVector(m, 2, xi.coeffs / xi.norm())
@@ -218,7 +226,7 @@ def test_wirtinger_battery():
     """Large randomized Wirtinger bound check with calibration detection."""
     rng = _rng(29)
     m = 4
-    J = xt.standard_complex_structure(m)
+    J = xt.ComplexStructure(m)
     om = xt.omega0(m)
     V = rng.standard_normal((100_000, m))
     W = rng.standard_normal((100_000, m))
@@ -242,7 +250,7 @@ def test_wirtinger_battery():
 def test_decompose_calibrated_roundtrip():
     rng = _rng(31)
     for m in (4, 6, 8):
-        J = xt.standard_complex_structure(m)
+        J = xt.ComplexStructure(m)
         for _ in range(30):
             parts = []
             total = np.zeros(len(xt.blades(m, 2)))
@@ -274,7 +282,7 @@ def test_decompose_rejects_uncalibrated():
 def test_vectest_sandwich(m):
     """L <= M <= C(m) * L over many random decompositions and zeta."""
     rng = _rng(37 + m)
-    J = xt.standard_complex_structure(m)
+    J = xt.ComplexStructure(m)
     n_dec = 100
     n_zeta = 100  # 10^4 sandwich evaluations per dimension
     for _ in range(n_dec):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
+from curlab import exterior as xt
 from curlab import jholo as jh
 
 PI2 = math.pi**2
@@ -121,7 +122,7 @@ def test_structure_batched_matches_per_point():
     """The batched structures equal their per-point formulas bit for bit."""
     rng = np.random.default_rng(17)
     pts = rng.uniform(-1.0, 1.0, size=(300, 4))
-    J0 = jh.target_structure(4)
+    J0 = xt.ComplexStructure(4).matrix
     slope = 0.05
     _, Jw = jh.map_example("z1-warped", slope=slope, n_radial=8, n_eta=4, n_phi=8)
     want = []
@@ -327,7 +328,7 @@ def test_energy_split_complex_line():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(4)
     v /= np.linalg.norm(v)
-    J0 = jh.target_structure(4)
+    J0 = xt.ComplexStructure(4).matrix
     w = J0 @ v
 
     def f(x):
@@ -433,10 +434,3 @@ def test_sampled_map_memoizes_derived_grids():
         assert energy.tobytes() == want.tobytes()
         want = np.einsum("...d,...d->...", parts[0], parts[0])
         assert radial.tobytes() == want.tobytes()
-
-
-def test_target_structure_validation():
-    with pytest.raises(ValueError):
-        jh.target_structure(3)
-    J = jh.target_structure(6)
-    assert np.allclose(J @ J, -np.eye(6))
