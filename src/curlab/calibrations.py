@@ -294,9 +294,9 @@ class FubiniStudy:
 
     def fs_distance(self, a, b) -> float:
         """Distance between projective classes of homogeneous vectors."""
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        return float(_fs_dist_matrix(a / np.linalg.norm(a), b / np.linalg.norm(b)))
+        a = np.asarray(a, dtype=complex)[None]
+        b = np.asarray(b, dtype=complex)[None]
+        return float(_fs_dist_matrix(a, b)[0, 0])
 
 
 def fubini_study(n: int) -> FubiniStudy:

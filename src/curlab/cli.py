@@ -8,7 +8,8 @@ non-deterministic header line is the one starting with `# generated`, so
 two runs with the same configuration agree byte for byte below it.
 
 Config files are line-oriented `key = value` text; `#` starts a comment.
-Command line flags override config file entries.
+Each entry is parsed as its flag, with the same type and choices; command
+line flags override config file entries.
 """
 
 from __future__ import annotations
@@ -62,51 +63,50 @@ def read_config(path) -> dict:
     return out
 
 
-_DEFAULTS = {
-    "example": None,
-    "mesh": None,
-    "out": ".",
-    "h": None,
-    "seed": 0,
-    "center": "0,0,0,0",
-    "r_max": 0.8,
-    "n": 8,
-    "q": 0.7,
-    "gauge": "ball",
-    "delta": 0.05,
-    "threshold": 0.1,
-    "theta_hat": None,
-    "mode": "B",
-    "radius": None,
-}
+# One row per setting: config key (its flag is the key with `_` written
+# `-`), default, type, choices, help. The one parser is built from it, and
+# config entries are parsed by it too.
+_SETTINGS = (
+    ("example", None, str, None, "built-in example name"),
+    ("mesh", None, str, None, "mesh file (dim/vertex/tri lines)"),
+    ("out", ".", str, None, "output directory (default .)"),
+    ("h", None, float, None, "mesh refinement parameter"),
+    ("seed", 0, int, None, "seed echoed into outputs"),
+    ("center", "0,0,0,0", str, None, "comma-separated center coordinates"),
+    ("r_max", 0.8, float, None, "outermost ladder radius"),
+    ("n", 8, int, None, "number of ladder radii"),
+    ("q", 0.7, float, None, "ladder ratio in (0,1)"),
+    ("gauge", "ball", str, ("ball", "cylinder"),
+     "ambient ball or graph parameter cylinder"),
+    ("delta", 0.05, float, None, "tube radius for defect"),
+    ("threshold", 0.1, float, None, "angular clustering threshold"),
+    ("theta_hat", None, float, None, "analytic density limit for mode A fits"),
+    ("mode", "B", str, ("A", "B"), "rate fit mode"),
+    ("radius", None, float, None, "single analysis radius (directions)"),
+)
 
-_FLOAT_KEYS = {"h", "r_max", "q", "delta", "threshold", "theta_hat", "radius"}
-_INT_KEYS = {"seed", "n"}
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _config_argv(path) -> list:
+    """A config file's entries as `--key=value` flags; placed before the
+    command line, they lose to its explicit flags."""
+    cfg = read_config(path)
+    unknown = set(cfg) - {key for key, *_ in _SETTINGS}
+    if unknown:
+        raise CliError(f"unknown config keys: {sorted(unknown)}")
+    return [f"{_flag(key)}={value}" for key, value in cfg.items()]
 
 
 def _settings(args) -> dict:
-    """Merge defaults, config file and explicit flags, in that order."""
-    merged = dict(_DEFAULTS)
-    if args.config:
-        cfg = read_config(args.config)
-        unknown = set(cfg) - set(_DEFAULTS)
-        if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(cfg)
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    for key in _FLOAT_KEYS:
-        if merged[key] is not None:
-            merged[key] = float(merged[key])
-    for key in _INT_KEYS:
-        merged[key] = int(merged[key])
-    if not 0 < merged["q"] < 1:
+    s = {key: getattr(args, key) for key, *_ in _SETTINGS}
+    if not 0 < s["q"] < 1:
         raise CliError("ladder ratio q must lie in (0, 1)")
-    if merged["n"] < 4:
+    if s["n"] < 4:
         raise CliError("ladder length n must be at least 4")
-    return merged
+    return s
 
 
 def _center(settings) -> np.ndarray:
@@ -373,42 +373,28 @@ def _build_parser() -> _Parser:
                 description="numerical laboratory for calibrated 2-currents")
     p.add_argument("--version", action="version",
                    version=f"curlab {__version__}")
-    sub = p.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name in _COMMANDS:
-        q = sub.add_parser(name)
-        q.add_argument("--config", help="key = value config file")
-        q.add_argument("--example", help="built-in example name")
-        q.add_argument("--mesh", help="mesh file (dim/vertex/tri lines)")
-        q.add_argument("--out", help="output directory (default .)")
-        q.add_argument("--h", type=float, help="mesh refinement parameter")
-        q.add_argument("--seed", type=int, help="seed echoed into outputs")
-        q.add_argument("--center", help="comma-separated center coordinates")
-        q.add_argument("--r-max", dest="r_max", type=float,
-                       help="outermost ladder radius")
-        q.add_argument("--n", type=int, help="number of ladder radii")
-        q.add_argument("--q", type=float, help="ladder ratio in (0,1)")
-        q.add_argument("--gauge", choices=("ball", "cylinder"),
-                       help="ambient ball or graph parameter cylinder")
-        q.add_argument("--delta", type=float, help="tube radius for defect")
-        q.add_argument("--threshold", type=float,
-                       help="angular clustering threshold")
-        q.add_argument("--theta-hat", dest="theta_hat", type=float,
-                       help="analytic density limit for mode A fits")
-        q.add_argument("--mode", choices=("A", "B"), help="rate fit mode")
-        q.add_argument("--radius", type=float,
-                       help="single analysis radius (directions)")
+    p.add_argument("subcommand", nargs="?", choices=_COMMANDS,
+                   metavar="subcommand",
+                   help="pipeline to run: " + ", ".join(_COMMANDS))
+    p.add_argument("--config", help="key = value config file")
+    for key, default, type_, choices, help_ in _SETTINGS:
+        p.add_argument(_flag(key), default=default, type=type_,
+                       choices=choices, help=help_)
     return p
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if not args.subcommand:
         print("usage: curlab <subcommand> [flags]; see curlab --help",
               file=sys.stderr)
         return 1
     try:
+        if args.config:
+            args = parser.parse_args(_config_argv(args.config) + argv)
         s = _settings(args)
-        np.random.seed(s["seed"])
         cols, rows, extra = _COMMANDS[args.subcommand](s)
     except CheckFailure as e:
         print(f"curlab {args.subcommand}: check failed: {e}", file=sys.stderr)

@@ -191,10 +191,15 @@ def _real_rows(z) -> np.ndarray:
 
 
 def _fs_dist_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Fubini-Study distances arccos |<a, b>| between the classes of the
-    unit complex rows of A (k, n) and B (l, n), as a (k, l) matrix."""
-    c = np.abs(A @ np.conj(B).T)
-    return np.arccos(np.clip(c, 0.0, 1.0))
+    """Fubini-Study distances between the complex lines through the rows of
+    A (k, n) and B (l, n), as a (k, l) matrix: atan2(|a ^ b|, |<a, b>|),
+    with |a ^ b|^2 = sum_{i<j} |a_i b_j - a_j b_i|^2. Unlike arccos |<a, b>|
+    of unit rows it keeps full precision for nearly equal lines."""
+    wedge2 = np.zeros((len(A), len(B)))
+    for i, j in zip(*np.triu_indices(A.shape[1], 1)):
+        w = np.outer(A[:, i], B[:, j]) - np.outer(A[:, j], B[:, i])
+        wedge2 += w.real**2 + w.imag**2
+    return np.arctan2(np.sqrt(wedge2), np.abs(A @ np.conj(B).T))
 
 
 def _times_i(x: np.ndarray) -> np.ndarray:

@@ -117,6 +117,7 @@ class SampledMap:
         self.phi = 2 * math.pi * np.arange(n_phi) / n_phi
         self.f = f
         self._grad = None
+        self._jacobian = None
         self._energy = None
         self._radial = None
 
@@ -202,13 +203,15 @@ class SampledMap:
         return e_rho, e_eta, e_p1, e_p2
 
     def gradient(self):
-        """Full Cartesian Jacobian at every node, shape (R,E,P,P,d,4)."""
-        parts = self.frame_partials()
-        frames = self.frame_vectors()
-        out = np.zeros(self.values.shape + (4,))
-        for du, e in zip(parts, frames):
-            out += du[..., :, None] * e[..., None, :]
-        return out
+        """Full Cartesian Jacobian at every node, shape (R,E,P,P,d,4);
+        computed once, read-only."""
+        if self._jacobian is None:
+            out = np.zeros(self.values.shape + (4,))
+            for du, e in zip(self.frame_partials(), self.frame_vectors()):
+                out += du[..., :, None] * e[..., None, :]
+            out.flags.writeable = False
+            self._jacobian = out
+        return self._jacobian
 
     def energy_density(self) -> np.ndarray:
         """|grad u|^2 per node, shape (R,E,P,P); computed once, read-only."""

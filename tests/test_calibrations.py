@@ -490,8 +490,11 @@ def test_fubini_study_comass_sampled():
 def test_fubini_study_distance():
     fs = cal.fubini_study(2)
     assert fs.fs_distance([1, 0], [0, 1]) == pytest.approx(math.pi / 2)
-    # arccos is sqrt-sensitive near coincident classes
-    assert fs.fs_distance([1, 1], [2, 2]) == pytest.approx(0.0, abs=1e-7)
+    # full precision near coincident classes, where arccos |<a, b>| of
+    # unit rows returns 2.1e-8, 0.0 and 1.0000444e-6
+    assert fs.fs_distance([1, 1], [2, 2]) == pytest.approx(0.0, abs=1e-15)
+    assert fs.fs_distance([1, 0], [1, 1e-9]) == pytest.approx(1e-9, rel=1e-12)
+    assert fs.fs_distance([1, 0], [1, 1e-6]) == pytest.approx(1e-6, rel=1e-12)
 
 
 def _fs_rows_reference(n, x):

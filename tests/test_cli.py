@@ -1,6 +1,8 @@
 """Command line interface: exit codes, config handling, CSV determinism."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,3 +226,87 @@ def test_jholo_ladder_beyond_grid(tmp_path):
     rc = cli.run(["jholo-energy", "--example", "z1", "--r-max", "2.0",
                   "--out", str(tmp_path)])
     assert rc == 1
+
+
+# the smallest input on which each subcommand exits 0, its CSV columns and
+# the config echo it writes
+_BASE_ECHO = ("center=0,0,0,0 delta=0.05 example={ex} gauge=ball {h}mode=B "
+              "n={n} q=0.7 r_max=0.8 {radius}seed=0 threshold=0.1")
+_LINES = ("--example", "two-lines", "--h", "0.3", "--n", "4")
+_SMALLEST = {
+    "mass": (_LINES, ("r", "mass")),
+    "defect": (_LINES, ("mass", "defect", "defect_over_mass")),
+    "density-sweep": (_LINES, ("r", "mass", "theta", "normalized")),
+    "monotonicity": (_LINES, ("r", "theta", "c1", "passed")),
+    "hopf-mass": (_LINES, ("r_inner", "r_outer", "hopf_mass")),
+    "directions": (_LINES + ("--radius", "0.5"),
+                   ("index", "weight", "diameter", "rep0_re", "rep0_im",
+                    "rep1_re", "rep1_im")),
+    "uniqueness-gap": (_LINES, ("r", "gap")),
+    "goodslice": (_LINES, ("r", "rho0", "slice_mass", "slice_energy")),
+    "dirichlet": (("--example", "flat-disk", "--h", "0.3", "--n", "4"),
+                  ("r", "energy", "factor")),
+    "rate-fit": (_LINES, ("theta_hat", "amplitude", "exponent",
+                          "residual_rms", "exact_cone")),
+    "jholo-energy": (("--example", "z1", "--n", "4"), ("r", "scaled_energy")),
+    "jholo-monotonicity": (("--example", "z1", "--n", "5"),
+                           ("r", "scaled_energy", "c", "passed")),
+    "jholo-rate": (("--example", "z1", "--n", "6"),
+                   ("theta_hat", "amplitude", "exponent", "residual_rms",
+                    "exact_cone")),
+}
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_every_subcommand_smallest_input(tmp_path, name):
+    argv, columns = _SMALLEST[name]
+    assert cli.run([name, *argv, "--out", str(tmp_path)]) == 0
+    header, rows = _read_rows(tmp_path / f"{name.replace('-', '_')}.csv")
+    assert tuple(rows[0]) == columns
+    flags = dict(zip(argv[::2], argv[1::2]))
+    echo = _BASE_ECHO.format(
+        ex=flags["--example"],
+        h=f"h={flags['--h']} " if "--h" in flags else "",
+        n=flags["--n"],
+        radius=f"radius={flags['--radius']} " if "--radius" in flags else "",
+    )
+    assert f"# config: {echo}" in header
+
+
+def _exit_status(argv):
+    """`cli.run`'s status, also when argparse exits through SystemExit."""
+    try:
+        return cli.run(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("entry", ["gauge = cyl", "mode = C", "n = 4.5"])
+def test_config_values_checked_like_flags(tmp_path, capsys, entry):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"example = two-lines\nh = 0.3\n{entry}\n")
+    assert _exit_status(["mass", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "mass.csv").exists()
+    flag, value = (t.strip() for t in entry.split("="))
+    assert _exit_status(["mass", "--example", "two-lines", "--h", "0.3",
+                         f"--{flag}", value, "--out", str(tmp_path)]) == 1
+
+
+def test_readme_lists_commands_and_settings():
+    """README's subcommand list is `cli._COMMANDS` in order, and its
+    settings table names exactly the parser's setting flags, each with its
+    config key and default."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("Subcommands:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([\w-]+)`", listed) == list(cli._COMMANDS)
+
+    table = dict((flag, (key, default)) for flag, key, default in re.findall(
+        r"^\| `(--[\w-]+)` \| `(\w+)` \| (.+?) \|$", readme, re.M))
+    parser = cli._build_parser()
+    flags = {s for a in parser._actions for s in a.option_strings}
+    assert set(table) == flags - {"-h", "--help", "--version", "--config"}
+    for a in parser._actions:
+        if a.option_strings and a.option_strings[0] in table:
+            default = "none" if a.default is None else f"`{a.default}`"
+            assert table[a.option_strings[0]] == (a.dest, default)

@@ -415,15 +415,18 @@ def test_sampled_map_points_on_demand(u_z1):
 
 
 def test_sampled_map_memoizes_derived_grids():
-    """The densities are computed once per map, read-only, and equal the
-    sum of squared frame partials in frame order, bit for bit."""
+    """The densities and the Jacobian are computed once per map, read-only;
+    the densities equal the sum of squared frame partials in frame order,
+    and the Jacobian the partials times the frame vectors, bit for bit."""
     grid = dict(n_radial=9, n_eta=5, n_phi=12)
     for name in ("z1z2", "hopf"):
         u = jh.map_example(name, **grid)
         energy, radial = u.energy_density(), u.radial_density()
+        jac = u.gradient()
         assert u.energy_density() is energy
         assert u.radial_density() is radial
-        for arr in (energy, radial, *u.frame_partials()):
+        assert u.gradient() is jac
+        for arr in (energy, radial, jac, *u.frame_partials()):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
             with pytest.raises(ValueError):
@@ -434,3 +437,7 @@ def test_sampled_map_memoizes_derived_grids():
         assert energy.tobytes() == want.tobytes()
         want = np.einsum("...d,...d->...", parts[0], parts[0])
         assert radial.tobytes() == want.tobytes()
+        want = np.zeros(jac.shape)
+        for p, e in zip(parts, u.frame_vectors()):
+            want += p[..., :, None] * e[..., None, :]
+        assert jac.tobytes() == want.tobytes()
