@@ -129,7 +129,10 @@ def _load_current(s) -> cur.TriCurrent:
         params["h"] = s["h"]
     try:
         return ex.generate_example(s["example"], **params)
-    except (ValueError, TypeError) as e:
+    except TypeError:
+        # the one keyword passed is h, and some generators take no mesh size
+        raise CliError(f"example {s['example']!r} takes no --h") from None
+    except ValueError as e:
         raise CliError(str(e)) from None
 
 
@@ -347,7 +350,9 @@ def _cmd_jholo_monotonicity(s):
 
 def _cmd_jholo_rate(s):
     u = _load_map(s)
-    return _fit_table(jh.map_rate_fit(u, _map_ladder(u, s), mode=s["mode"],
+    # a fit needs six scales, as in rate-fit
+    ladder = _map_ladder(u, {**s, "n": max(s["n"], 6)})
+    return _fit_table(jh.map_rate_fit(u, ladder, mode=s["mode"],
                                       theta_hat=s["theta_hat"]))
 
 

@@ -252,27 +252,71 @@ class Region:
 
     def indicator(self, x: np.ndarray) -> np.ndarray:
         """Boolean membership for points, shape (..., m)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind != "intersect":
-            return self._basic_indicator(x)
-        out = np.ones(x.shape[:-1], dtype=bool)
-        for p in self.parts:
-            out &= p._basic_indicator(x)
+        return self._members(self._part_values(np.asarray(x, dtype=float)))
+
+    def _basic_parts(self) -> tuple:
+        return self.parts if self.kind == "intersect" else (self,)
+
+    def _part_values(self, x: np.ndarray) -> np.ndarray:
+        """Per basic part, the number its membership of points x (..., m)
+        is decided on, stacked as (..., P): the distance to the center for
+        balls and annuli, to the axis for cylinders,
+        dist(x, planes) - eps |x - center| for cone complements, and 0 for
+        full space."""
+        vals = [p._value(x) for p in self._basic_parts()]
+        return vals[0][..., None] if len(vals) == 1 else np.stack(vals, axis=-1)
+
+    def _members(self, vals: np.ndarray) -> np.ndarray:
+        """Membership from `_part_values`: inside every part."""
+        parts = self._basic_parts()
+        out = parts[0]._member(vals[..., 0])
+        for k in range(1, len(parts)):
+            out &= parts[k]._member(vals[..., k])
         return out
 
-    def _basic_indicator(self, x: np.ndarray) -> np.ndarray:
+    def _classify(self, vals: np.ndarray, ell: np.ndarray):
+        """Which triangles lie surely outside R, and which surely inside.
+
+        vals (n, 3, P) are the `_part_values` of the corners and ell (n,)
+        bounds the longest edges. For the corner distances d_i to the
+        center (or axis) c of a ball, annulus or cylinder part, every point
+        p of a triangle has max d_i - ell <= |p - c| <= max d_i. Both bounds
+        are widened by 1e-12 (|c| + max d_i + ell), far above the rounding
+        of the distances, of the edges and of points computed from the
+        corners, so a triangle called outside (inside) has `indicator`
+        false (true) at every point computed from its corners, its
+        quadrature points among them. A triangle is outside R when it is
+        outside one part, and inside when it is inside every part; a cone
+        complement calls no triangle either. Returns (out, inside), boolean
+        (n,).
+        """
+        out = np.zeros(len(ell), dtype=bool)
+        inside = np.ones(len(ell), dtype=bool)
+        for k, part in enumerate(self._basic_parts()):
+            if part.kind == "full":
+                continue
+            if part.kind == "cone_complement":
+                inside[:] = False
+                continue
+            dmax = vals[:, :, k].max(axis=1)
+            tol = _CLASSIFY_TOL * (np.linalg.norm(part.center) + dmax + ell)
+            low, high = dmax - ell - tol, dmax + tol  # bounds of |p - c|
+            if part.kind == "annulus":
+                out |= (low > part.outer) | (high <= part.inner)
+                inside &= (low > part.inner) & (high <= part.outer)
+            else:
+                out |= low > part.radius
+                inside &= high <= part.radius
+        return out, inside
+
+    def _value(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "full":
-            return np.ones(x.shape[:-1], dtype=bool)
-        if self.kind == "ball":
-            d = np.linalg.norm(x - self.center, axis=-1)
-            return d <= self.radius
-        if self.kind == "annulus":
-            d = np.linalg.norm(x - self.center, axis=-1)
-            return (d > self.inner) & (d <= self.outer)
+            return np.zeros(x.shape[:-1])
+        if self.kind in ("ball", "annulus"):
+            return _distances(x, self.center)
         if self.kind == "cylinder":
-            rel = x - self.center
-            d = np.linalg.norm(rel[..., list(self.axes)], axis=-1)
-            return d <= self.radius
+            axes = list(self.axes)
+            return _distances(x[..., axes], self.center[axes])
         if self.kind == "cone_complement":
             rel = x - self.center
             r = np.linalg.norm(rel, axis=-1)
@@ -285,8 +329,32 @@ class Region:
                     0.0,
                 )
                 dmin = np.minimum(dmin, np.sqrt(d2))
-            return dmin > self.eps * r
+            # positive exactly where dmin > eps * r: a rounded difference of
+            # two finite doubles has the sign of their exact difference
+            return dmin - self.eps * r
         raise ValueError(f"unknown region kind {self.kind!r}")
+
+    def _member(self, v: np.ndarray) -> np.ndarray:
+        if self.kind == "full":
+            return np.ones(v.shape, dtype=bool)
+        if self.kind == "annulus":
+            return (v > self.inner) & (v <= self.outer)
+        if self.kind == "cone_complement":
+            return v > 0.0
+        return v <= self.radius
+
+
+# relative widening of the classifier's distance bounds (Region._classify)
+_CLASSIFY_TOL = 1e-12
+
+
+def _distances(x, center):
+    """|x - center| over the last axis, bit for bit as np.linalg.norm gives
+    it: the same squares, summed by the same reduction, but squared in
+    place and without norm's conj() copy."""
+    rel = x - center
+    rel *= rel
+    return np.sqrt(np.add.reduce(rel, axis=-1))
 
 
 def _effective_region(C: TriCurrent, R: Region | None) -> Region:
@@ -410,66 +478,71 @@ def mass_ladder(C: TriCurrent, center, radii, axes=None) -> np.ndarray:
     return out
 
 
+# the corners of the four midpoint children, as rows of (a, b, c, m01, m12, m20)
+_CHILD_CORNERS = ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5))
+
+
+def _midpoints(corners):
+    """The edge midpoints m01, m12, m20 of each triangle in (n, 3, m)
+    corners, as (n, 3, m)."""
+    return 0.5 * (corners + corners[:, [1, 2, 0]])
+
+
+def _children(rows, mids):
+    """Rows (4n, 3, ...) of the four midpoint children of n triangles, one
+    child after another, from the rows of their corners and of their edge
+    midpoints, each (n, 3, ...)."""
+    both = np.concatenate([rows, mids], axis=1)
+    out = np.empty((4,) + rows.shape, dtype=both.dtype)
+    for k, child in enumerate(_CHILD_CORNERS):
+        np.take(both, child, axis=1, out=out[k])
+    return out.reshape((-1,) + rows.shape[1:])
+
+
 def _midpoint_children(corners):
     """The four midpoint children of each triangle in (n, 3, m) corners."""
-    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
-    m01, m12, m20 = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    return [
-        np.stack([a, m01, m20], axis=1),
-        np.stack([m01, b, m12], axis=1),
-        np.stack([m20, m12, c], axis=1),
-        np.stack([m01, m12, m20], axis=1),
-    ]
+    return np.split(_children(corners, _midpoints(corners)), 4)
 
 
 # base-4 digits a sub-triangle's path key holds, most significant first
 _PATH_DIGITS = 30
 
 
-def _subdivide(tri, owner, area, leaf_rule):
+def _subdivide(tri, val, owner, area, value_of, leaf_rule):
     """Level-synchronous midpoint subdivision of a frontier of sub-triangles.
 
-    The frontier is held as corners (n, 3, m), the index of the owning
-    triangle and the area. At each depth `leaf_rule(depth, tri, area)` is
-    called once on the whole frontier and returns a mask of the
-    sub-triangles that retire as leaves and a tuple of arrays with one row
-    per sub-triangle, which the leaves keep. The others are split into their
-    four midpoint children, each owning a quarter of the area. The rule must
-    retire every sub-triangle by some depth. Returns the leaves' corners,
-    owners, areas, path keys and kept arrays, each concatenated over the
-    depths. A path key holds the child indices from the owner down as
-    base-4 digits, most significant first, so sorting the leaves by owner
-    and key puts them in depth-first order.
+    The frontier is held as corners (n, 3, m), a value per corner
+    (n, 3, ...), the index of the owning triangle and the area. At each
+    depth `leaf_rule(depth, tri, val, area)` is called once on the whole
+    frontier and returns a mask of the sub-triangles that retire as leaves
+    and a tuple of arrays with one row per sub-triangle, which the leaves
+    keep. The others are split into their four midpoint children, each
+    owning a quarter of the area: a split evaluates `value_of(points
+    (n, 3, m))` on its three edge midpoints only, and its children inherit
+    the values of the corners they share with it. The rule must retire
+    every sub-triangle by some depth. Returns the leaves' corners, corner
+    values, owners, areas, path keys and kept arrays, each concatenated
+    over the depths. A path key holds the child indices from the owner down
+    as base-4 digits, most significant first, so sorting the leaves by
+    owner and key puts them in depth-first order.
     """
     path = np.zeros(len(tri), dtype=np.int64)
     leaves = []
     for depth in itertools.count():
-        done, kept = leaf_rule(depth, tri, area)
-        leaves.append((tri[done], owner[done], area[done], path[done])
+        done, kept = leaf_rule(depth, tri, val, area)
+        leaves.append((tri[done], val[done], owner[done], area[done], path[done])
                       + tuple(k[done] for k in kept))
         if np.all(done):
             return [np.concatenate(col) for col in zip(*leaves)]
-        tri = np.concatenate(_midpoint_children(tri[~done]))
-        owner = np.tile(owner[~done], 4)
-        area = np.tile(area[~done] / 4.0, 4)
+        split = ~done
+        tri = tri[split]
+        mids = _midpoints(tri)
+        tri = _children(tri, mids)
+        val = _children(val[split], value_of(mids))
+        owner = np.tile(owner[split], 4)
+        area = np.tile(area[split] / 4.0, 4)
         step = 4 ** (_PATH_DIGITS - 1 - depth)
-        path = np.concatenate([path[~done] + k * step for k in range(4)])
-
-
-def _membership_rule(R: Region, is_leaf):
-    """A `_subdivide` leaf rule on membership in R.
-
-    `R.indicator` is called on the corners and the centroid of every
-    sub-triangle, giving inn (n, 4) with the centroid last;
-    `is_leaf(depth, inn, area)` marks the leaves, which keep inn.
-    """
-
-    def rule(depth, tri, area):
-        centroids = tri.mean(axis=1, keepdims=True)
-        inn = R.indicator(np.concatenate([tri, centroids], axis=1))
-        return is_leaf(depth, inn, area), (inn,)
-
-    return rule
+        path = np.concatenate([path[split] + k * step for k in range(4)])
 
 
 _MASS_MAX_DEPTH = 9
@@ -480,7 +553,9 @@ def _subdiv_mass(C: TriCurrent, R: Region, rel_tol: float = 1e-4) -> float:
 
     A (sub-)triangle is settled when its three vertices and its centroid are
     all inside R, or all outside. A settled triangle counts its area, or 0;
-    the others form the frontier that `_subdivide` splits level by level.
+    the others form the frontier that `_subdivide` splits level by level,
+    carrying the membership of the corners, so each split tests its three
+    edge midpoints and each sub-triangle its centroid.
     Leaf rule for a sub-triangle at depth d: from d = 2 on, a settled one
     counts its area, or 0 (at d = 0 and 1 it is split even if settled); at
     d = 9, or once its area is at most rel_tol^2 * max(total mass, 1e-12),
@@ -496,18 +571,19 @@ def _subdiv_mass(C: TriCurrent, R: Region, rel_tol: float = 1e-4) -> float:
     acc = float(np.sum(C.areas[all_in] * C.multiplicities[all_in]))
     small = rel_tol * rel_tol * max(total, 1e-12)
 
-    def is_leaf(depth, inn, area):
-        verts, cin = inn[:, :3], inn[:, 3]
+    def is_leaf(depth, tri, verts, area):
+        cin = R.indicator(tri.mean(axis=1))
         settled = (np.all(verts, axis=1) & cin) | (~np.any(verts, axis=1) & ~cin)
         capped = (depth == _MASS_MAX_DEPTH) | (area <= small)
-        return (settled & (depth >= 2)) | capped
+        return (settled & (depth >= 2)) | capped, (cin,)
 
     # every leaf counts its area if its centroid is inside, whatever retired it
     owner = np.nonzero(~(all_in | all_out))[0]
-    _, owner, area, _, inn = _subdivide(
-        corners[owner], owner, C.areas[owner], _membership_rule(R, is_leaf)
+    _, _, owner, area, _, cin = _subdivide(
+        corners[owner], verts_in[owner], owner, C.areas[owner], R.indicator,
+        is_leaf,
     )
-    per_triangle = np.bincount(owner, weights=area * inn[:, 3], minlength=len(C))
+    per_triangle = np.bincount(owner, weights=area * cin, minlength=len(C))
     return acc + float(per_triangle @ C.multiplicities)
 
 
@@ -603,13 +679,19 @@ def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
     the quadrature points, and fn is not called on a leaf with no
     quadrature point inside. A triangle with no vertex inside R is thus one
     masked leaf and is not split.
+
+    Each point is tested once: the corners' part values (`Region
+    ._part_values`) are computed once and carried down the subdivision, and
+    triangles and leaves that `Region._classify` calls outside R are
+    dropped before their quadrature points are built; leaves it calls
+    inside skip the quadrature-point test.
     """
     R = _effective_region(C, R)
     corners = C.corners()
     if R.kind == "full":
         return _quad_integrate(corners, C.tangents, C.areas, C.multiplicities, fn)
-    verts_in = R.indicator(corners)
-    all_in = np.all(verts_in, axis=1)
+    corner_vals = R._part_values(corners)
+    all_in = np.all(R._members(corner_vals), axis=1)
     acc = _quad_integrate(
         corners[all_in],
         C.tangents[all_in],
@@ -617,21 +699,29 @@ def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
         C.multiplicities[all_in],
         fn,
     )
+    out, _ = R._classify(corner_vals, C.longest_edges)
 
-    def is_leaf(depth, inn, area):
-        verts = inn[:, :3]
-        return (
-            np.all(verts, axis=1)
-            | ~np.any(verts, axis=1)
+    def is_leaf(depth, tri, val, area):
+        inn = R._members(val)
+        done = (
+            np.all(inn, axis=1)
+            | ~np.any(inn, axis=1)
             | (depth == _INTEGRATE_MAX_DEPTH)
         )
+        return done, (np.full(len(tri), depth),)
 
-    owner = np.nonzero(~all_in)[0]
-    tri, owner, area, _, _ = _subdivide(
-        corners[owner], owner, C.areas[owner], _membership_rule(R, is_leaf)
+    owner = np.nonzero(~(all_in | out))[0]
+    tri, val, owner, area, _, depth = _subdivide(
+        corners[owner], corner_vals[owner], owner, C.areas[owner], R._part_values,
+        is_leaf,
     )
+    # a leaf's edges are its owner's, halved at each depth
+    out, inside = R._classify(val, np.ldexp(C.longest_edges[owner], -depth))
+    keep = ~out
+    tri, owner, area, test = tri[keep], owner[keep], area[keep], ~inside[keep]
     pts = _quad_points(tri)
-    inn = R.indicator(pts)
+    inn = np.ones(pts.shape[:2], dtype=bool)
+    inn[test] = R.indicator(pts[test])
     hit = np.any(inn, axis=1)
     if not np.any(hit):
         return acc
@@ -807,7 +897,8 @@ def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
 
     A (sub-)triangle meets the sphere when its closest point to x0 lies
     inside the ball and a vertex lies outside. The triangles that meet it go
-    through `_subdivide`: a sub-triangle that meets it retires once its
+    through `_subdivide`, which carries the distances of the corners to x0
+    down to the children: a sub-triangle that meets it retires once its
     edges cross the sphere an even, nonzero number of times, and is split
     otherwise (a tangency, a vertex too close to the sphere, or the sphere's
     trace inside its face), down to depth 8. Each retired leaf pairs every
@@ -820,14 +911,14 @@ def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
     x0 = np.asarray(x0, dtype=float)
     rho = _regular_slice_radius(C, x0, rho)
     corners = C.corners() - x0
-    d = np.linalg.norm(corners, axis=2)
+    d = _distances(corners, 0.0)
     # the nearest vertex is within the longest edge of the closest point
     near = d.min(axis=1) < rho + C.longest_edges
     cand = np.nonzero(near & (d.max(axis=1) > rho))[0]
 
-    def rule(depth, tri, area):
+    def rule(depth, tri, d, area):
         q, _ = _closest_points_on_triangles(0.0, tri[:, 0], tri[:, 1], tri[:, 2])
-        far = np.linalg.norm(tri, axis=2).max(axis=1) > rho
+        far = d.max(axis=1) > rho
         meets = (_dot(q, q) < rho * rho) & far
         pos, pts, leaving = _sphere_crossings(tri, rho)
         count = np.sum(np.isfinite(pos), axis=1)
@@ -835,8 +926,9 @@ def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
         done = ~meets | paired | (depth == _SLICE_MAX_DEPTH)
         return done, (pos, pts, leaving, count, paired, meets & ~paired)
 
-    _, owner, _, path, pos, pts, leaving, count, paired, unpaired = _subdivide(
-        corners[cand], cand, C.areas[cand], rule
+    _, _, owner, _, path, pos, pts, leaving, count, paired, unpaired = _subdivide(
+        corners[cand], d[cand], cand, C.areas[cand],
+        lambda p: _distances(p, 0.0), rule,
     )
     dropped = int(np.sum(unpaired))
     # leaves in depth-first order, crossings in walk order within a leaf

@@ -216,6 +216,22 @@ def test_jholo_energy_and_rate(tmp_path):
     assert float(rows[1][2]) == pytest.approx(4.0, abs=0.1)
 
 
+def test_rate_ladders_have_six_scales(tmp_path):
+    """rate-fit and jholo-rate both fit at least six ladder scales, so
+    --n 4, which the settings accept, runs for both."""
+    for argv in (["rate-fit", "--example", "two-lines", "--h", "0.3"],
+                 ["jholo-rate", "--example", "z1"]):
+        assert cli.run(argv + ["--n", "4", "--out", str(tmp_path)]) == 0
+
+
+def test_example_without_mesh_size(tmp_path, capsys):
+    rc = cli.run(["dirichlet", "--example", "cusp", "--h", "0.3",
+                  "--out", str(tmp_path)])
+    assert rc == 1
+    assert "example 'cusp' takes no --h" in capsys.readouterr().err
+    assert not (tmp_path / "dirichlet.csv").exists()
+
+
 def test_jholo_unknown_map(tmp_path):
     rc = cli.run(["jholo-energy", "--example", "flat-disk",
                   "--out", str(tmp_path)])

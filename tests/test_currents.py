@@ -1,5 +1,7 @@
 """Triangle 2-currents: mass, pairing, slicing, decomposition, Poincare."""
 
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -961,3 +963,291 @@ def test_property_clip_sweep_matches_per_radius_reference(seed, axes, where):
                            - _ball_clip_areas_reference(C, center, inner)) * mult)
             got = cur.mass(C, cur.Region.annulus(center, inner, outer))
             assert got == float(want)
+
+
+# --- references: level-synchronous forms that test every point they build ---
+
+
+def _indicator_reference(R, x):
+    """Region membership through np.linalg.norm, part by part."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones(x.shape[:-1], dtype=bool)
+    for p in (R.parts if R.kind == "intersect" else (R,)):
+        rel = x - p.center if p.center is not None else x
+        if p.kind == "ball":
+            out &= np.linalg.norm(rel, axis=-1) <= p.radius
+        elif p.kind == "annulus":
+            d = np.linalg.norm(rel, axis=-1)
+            out &= (d > p.inner) & (d <= p.outer)
+        elif p.kind == "cylinder":
+            out &= np.linalg.norm(rel[..., list(p.axes)], axis=-1) <= p.radius
+        elif p.kind == "cone_complement":
+            r = np.linalg.norm(rel, axis=-1)
+            dmin = np.full(x.shape[:-1], np.inf)
+            for B in p.planes:
+                proj = rel @ B
+                d2 = np.maximum(np.einsum("...i,...i->...", rel, rel)
+                                - np.einsum("...i,...i->...", proj, proj), 0.0)
+                dmin = np.minimum(dmin, np.sqrt(d2))
+            out &= dmin > p.eps * r
+    return out
+
+
+def _midpoint_children_reference(corners):
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    m01, m12, m20 = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+    return [
+        np.stack([a, m01, m20], axis=1),
+        np.stack([m01, b, m12], axis=1),
+        np.stack([m20, m12, c], axis=1),
+        np.stack([m01, m12, m20], axis=1),
+    ]
+
+
+def _subdivide_reference(tri, owner, area, leaf_rule):
+    """Level-synchronous subdivision that hands the leaf rule the corners
+    only, so the rule tests every corner of every sub-triangle."""
+    path = np.zeros(len(tri), dtype=np.int64)
+    leaves = []
+    for depth in itertools.count():
+        done, kept = leaf_rule(depth, tri, area)
+        leaves.append((tri[done], owner[done], area[done], path[done])
+                      + tuple(k[done] for k in kept))
+        if np.all(done):
+            return [np.concatenate(col) for col in zip(*leaves)]
+        tri = np.concatenate(_midpoint_children_reference(tri[~done]))
+        owner = np.tile(owner[~done], 4)
+        area = np.tile(area[~done] / 4.0, 4)
+        step = 4 ** (cur._PATH_DIGITS - 1 - depth)
+        path = np.concatenate([path[~done] + k * step for k in range(4)])
+
+
+def _membership_rule_reference(R, is_leaf):
+    """A leaf rule on membership of the corners and the centroid of every
+    sub-triangle, inn (n, 4) with the centroid last."""
+
+    def rule(depth, tri, area):
+        centroids = tri.mean(axis=1, keepdims=True)
+        inn = _indicator_reference(R, np.concatenate([tri, centroids], axis=1))
+        return is_leaf(depth, inn, area), (inn,)
+
+    return rule
+
+
+def _integrate_levelsync_reference(C, fn, R=None):
+    """`cur.integrate` testing every corner at every depth and every
+    quadrature point of every leaf."""
+    R = cur._effective_region(C, R)
+    corners = C.corners()
+    if R.kind == "full":
+        return cur._quad_integrate(corners, C.tangents, C.areas,
+                                   C.multiplicities, fn)
+    all_in = np.all(_indicator_reference(R, corners), axis=1)
+    acc = cur._quad_integrate(corners[all_in], C.tangents[all_in],
+                              C.areas[all_in], C.multiplicities[all_in], fn)
+
+    def is_leaf(depth, inn, area):
+        verts = inn[:, :3]
+        return (np.all(verts, axis=1) | ~np.any(verts, axis=1)
+                | (depth == cur._INTEGRATE_MAX_DEPTH))
+
+    owner = np.nonzero(~all_in)[0]
+    tri, owner, area, _, _ = _subdivide_reference(
+        corners[owner], owner, C.areas[owner],
+        _membership_rule_reference(R, is_leaf))
+    pts = cur._quad_points(tri)
+    inn = _indicator_reference(R, pts)
+    hit = np.any(inn, axis=1)
+    if not np.any(hit):
+        return acc
+    pts, inn, owner, area = pts[hit], inn[hit], owner[hit], area[hit]
+    vals = np.asarray(fn(pts, C.tangents[owner]), dtype=float)
+    per_leaf = (vals * (cur.TRI_QUAD_WEIGHTS * inn)).sum(axis=1)
+    return acc + float(np.sum(per_leaf * area * C.multiplicities[owner]))
+
+
+def _subdiv_mass_levelsync_reference(C, R, rel_tol=1e-4):
+    """`cur._subdiv_mass` testing every corner and the centroid of every
+    sub-triangle at every depth."""
+    total = C.total_mass()
+    corners = C.corners()
+    verts_in = _indicator_reference(R, corners)
+    cents_in = _indicator_reference(R, C.centroids)
+    all_in = np.all(verts_in, axis=1) & cents_in
+    all_out = np.all(~verts_in, axis=1) & ~cents_in
+    acc = float(np.sum(C.areas[all_in] * C.multiplicities[all_in]))
+    small = rel_tol * rel_tol * max(total, 1e-12)
+
+    def is_leaf(depth, inn, area):
+        verts, cin = inn[:, :3], inn[:, 3]
+        settled = (np.all(verts, axis=1) & cin) | (~np.any(verts, axis=1) & ~cin)
+        capped = (depth == cur._MASS_MAX_DEPTH) | (area <= small)
+        return (settled & (depth >= 2)) | capped
+
+    owner = np.nonzero(~(all_in | all_out))[0]
+    _, owner, area, _, inn = _subdivide_reference(
+        corners[owner], owner, C.areas[owner],
+        _membership_rule_reference(R, is_leaf))
+    per_triangle = np.bincount(owner, weights=area * inn[:, 3], minlength=len(C))
+    return acc + float(per_triangle @ C.multiplicities)
+
+
+_KINDS = ["ball", "annulus", "cylinder", "cone_complement", "dilated"]
+
+
+def _random_case(rng, kind, scale, n=8):
+    """A random mesh at coordinate scale `scale`, half of its vertices far
+    from a region whose center is off the origin, and the region; `dilated`
+    gives a dilated mesh, whose clip ball makes the region an intersection."""
+    m = 4
+    pts = rng.standard_normal((12, m))
+    pts[6:] += 6.0 * rng.standard_normal(m)  # far from the region
+    tris = [tuple(rng.choice(12, 3, replace=False)) for _ in range(n)]
+    C = cur.TriCurrent(scale * pts, tris, rng.choice([-2, -1, 1, 2, 3], n))
+    if kind == "dilated":
+        C = cur.dilate(C, C.centroids[rng.integers(n)],
+                       scale * rng.uniform(0.5, 2.0))
+        R = cur.Region.ball(0.3 * rng.standard_normal(m),
+                            rng.uniform(0.3, 1.2))
+        if rng.integers(2):
+            R = _random_region(rng, "cone_complement", m)
+        return C, cur._effective_region(C, R)
+    R = _random_region(rng, kind, m)
+    scaled = {"center": scale * R.center, "radius": scale * R.radius,
+              "inner": scale * R.inner, "outer": scale * R.outer}
+    return C, dataclasses.replace(R, **scaled)
+
+
+def test_midpoint_children_and_distances_keep_their_bits():
+    rng = np.random.default_rng(5)
+    corners = rng.standard_normal((50, 3, 4)) * 10.0 ** rng.integers(-3, 4, (50, 1, 1))
+    got = cur._midpoint_children(corners)
+    assert all(np.array_equal(g, w)
+               for g, w in zip(got, _midpoint_children_reference(corners)))
+    for shape in [(7, 4), (30, 7, 4), (5, 3, 6), (9, 2)]:
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        c = rng.standard_normal(shape[-1])
+        assert np.array_equal(cur._distances(x, c), np.linalg.norm(x - c, axis=-1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(_KINDS),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_property_integrate_matches_levelsync_reference(seed, kind, scale):
+    """integrate hands fn the same groups of points, in the same order, and
+    returns the same bits as the form that tests every point it builds."""
+    rng = np.random.default_rng(seed)
+    C, R = _random_case(rng, kind, scale)
+    a = rng.standard_normal(C.m) / scale
+    b = rng.standard_normal(len(xt.blades(C.m, 2)))
+    calls = {"got": [], "want": []}
+
+    def integrand(key):
+        def fn(p, t):
+            calls[key].append((p.copy(), t.copy()))
+            return np.cos(p @ a) + ((t @ b) ** 2)[:, None] - 0.5
+        return fn
+
+    got = cur.integrate(C, integrand("got"), R)
+    want = _integrate_levelsync_reference(C, integrand("want"), R)
+    assert got == want
+    assert len(calls["got"]) == len(calls["want"])
+    for (p, t), (q, s) in zip(calls["got"], calls["want"]):
+        assert np.array_equal(p, q) and np.array_equal(t, s)
+    if kind in ("ball", "annulus", "cylinder"):
+        # the far triangles are dropped before any point of theirs is built
+        d = R._part_values(C.corners())  # distances to center or axis
+        out, _ = R._classify(d, C.longest_edges)
+        far = np.all(d[..., 0] > 4.0 * scale + C.longest_edges[:, None], axis=1)
+        assert np.all(out[far])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(_KINDS),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.sampled_from([1e-4, 1e-2]),
+)
+def test_property_subdiv_mass_matches_levelsync_reference(seed, kind, scale,
+                                                          rel_tol):
+    """_subdiv_mass, which tests each corner once and each centroid, gives
+    the same bits as the form that tests every corner at every depth."""
+    rng = np.random.default_rng(seed)
+    C, R = _random_case(rng, kind, scale, n=3)
+    assert (cur._subdiv_mass(C, R, rel_tol)
+            == _subdiv_mass_levelsync_reference(C, R, rel_tol))
+
+
+def _classify_case(rng, kind, scale):
+    """A region and n = 64 triangles (corners, longest-edge bounds) whose
+    corners lie at a relative radial offset in [-1e-9, 1e-9], down to
+    1e-16, from one of the region's spheres, with edges from 1e-16 to 1
+    of its radius."""
+    m = 4
+    n = 64
+    center = scale * rng.uniform(-100.0, 100.0) * rng.standard_normal(m)
+    r1 = scale * rng.uniform(0.2, 1.0)
+    r2 = r1 * rng.uniform(1.1, 3.0)
+    clip = cur.Region.ball(center + r1 * rng.standard_normal(m), r2)
+    planes = [np.linalg.qr(rng.standard_normal((m, 2)))[0]]
+    R = {
+        "ball": cur.Region.ball(center, r1),
+        "annulus": cur.Region.annulus(center, r1, r2),
+        "cylinder": cur.Region.cylinder(center, r1, (1, 3)),
+        "intersect": cur.Region.intersect(cur.Region.annulus(center, r1, r2),
+                                          clip),
+        "cone_complement": cur.Region.intersect(
+            cur.Region.cone_complement(center, planes, 0.3), clip),
+    }[kind]
+    spheres = [(p.center, rad) for p in R._basic_parts()
+               for rad in (p.radius, p.inner, p.outer) if rad > 0]
+    which = rng.integers(len(spheres), size=n)
+    u = rng.standard_normal((n, m))
+    if kind == "cylinder":
+        u[:, [0, 2]] = 0.0  # the wall's circles lie in the (1, 3) plane
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    offset = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16, -9, n)
+    size = 10.0 ** rng.uniform(-16, 0, n)
+    corners = np.empty((n, 3, m))
+    for k in range(n):
+        c, rad = spheres[which[k]]
+        jitter = rng.standard_normal((3, m)) * rad * size[k]
+        corners[k] = c + rad * (1.0 + offset[k]) * u[k] + jitter
+    if kind == "cylinder":  # anywhere along the free coordinates
+        corners[:, :, [0, 2]] += 100.0 * scale * rng.standard_normal((n, 1, 2))
+    edges = corners - corners[:, [1, 2, 0]]
+    ell = np.sqrt(np.einsum("nkm,nkm->nk", edges, edges).max(axis=1))
+    return R, corners, ell
+
+
+# a dense barycentric sample of a triangle: 231 points
+_BARY = np.array([(i, j, 20 - i - j) for i in range(21) for j in range(21 - i)]) / 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(["ball", "annulus", "cylinder", "intersect",
+                     "cone_complement"]),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_property_classify_is_conservative(seed, kind, scale):
+    """A triangle called outside the region has no point inside, neither a
+    quadrature point nor a point of a dense barycentric sample; one called
+    inside has none outside. Corners within 1e-15 of a sphere of the region
+    exercise the rounding margin; regions with a cone complement are never
+    called inside."""
+    rng = np.random.default_rng(seed)
+    R, corners, ell = _classify_case(rng, kind, scale)
+    out, inside = R._classify(R._part_values(corners), ell)
+    assert not np.any(out & inside)
+    if kind == "cone_complement":
+        assert not np.any(inside)
+    pts = np.concatenate([cur._quad_points(corners), _BARY @ corners], axis=1)
+    inn = R.indicator(pts)
+    assert not np.any(inn[out])
+    assert np.all(inn[inside])
