@@ -93,11 +93,14 @@ class TriCurrent:
         self.multiplicities = M
         self.clip_radius = clip_radius
 
-        P0 = V[T[:, 0]]
-        u = V[T[:, 1]] - P0
-        w = V[T[:, 2]] - P0
-        i, j = pairs2(self.m)
-        skew = u[:, i] * w[:, j] - u[:, j] * w[:, i]
+        c = V.take(T, axis=0)  # corners, gathered once: (T, 3, m)
+        u = c[:, 1] - c[:, 0]
+        w = c[:, 2] - c[:, 0]
+        # column-major, the layout an index-array product gives: the row
+        # norms, and whatever reads the tangents, sum along strided rows
+        skew = np.empty((len(T), self.m * (self.m - 1) // 2), order="F")
+        for col, (a, b) in enumerate(zip(*pairs2(self.m))):
+            np.subtract(u[:, a] * w[:, b], u[:, b] * w[:, a], out=skew[:, col])
         norms = np.linalg.norm(skew, axis=1)
         self.areas = 0.5 * norms
         if np.any(self.areas < _MIN_AREA):
@@ -106,7 +109,7 @@ class TriCurrent:
         # how far a triangle reaches past its nearest vertex
         sq = [np.einsum("ij,ij->i", e, e) for e in (u, w, w - u)]
         self.longest_edges = np.sqrt(np.maximum(np.maximum(sq[0], sq[1]), sq[2]))
-        self.centroids = (V[T[:, 0]] + V[T[:, 1]] + V[T[:, 2]]) / 3.0
+        self.centroids = (c[:, 0] + c[:, 1] + c[:, 2]) / 3.0
 
     def __len__(self):
         return len(self.triangles)

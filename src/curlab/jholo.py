@@ -36,13 +36,13 @@ __all__ = [
 ]
 
 
-def _stencil_1d(t: np.ndarray):
-    """3-point first-derivative stencils on a nonuniform grid.
+def _stencil_1d(t: np.ndarray) -> np.ndarray:
+    """3-point first-derivative weights on a nonuniform grid of M >= 3 nodes.
 
-    Returns (idx, w) of shape (M, 3); exact on quadratics.
+    Row i weighs nodes (j-1, j, j+1), j = min(max(i, 1), M - 2), so the end
+    rows reuse the nearest interior triple; shape (M, 3), exact on quadratics.
     """
     M = len(t)
-    idx = np.zeros((M, 3), dtype=int)
     w = np.zeros((M, 3))
     for i in range(M):
         j = min(max(i, 1), M - 2)
@@ -52,33 +52,44 @@ def _stencil_1d(t: np.ndarray):
         w0 = (2 * x - x1 - x2) / ((x0 - x1) * (x0 - x2))
         w1 = (2 * x - x0 - x2) / ((x1 - x0) * (x1 - x2))
         w2 = (2 * x - x0 - x1) / ((x2 - x0) * (x2 - x1))
-        idx[i] = (j - 1, j, j + 1)
         w[i] = (w0, w1, w2)
-    return idx, w
+    return w
 
 
-def _apply_stencil(values: np.ndarray, axis: int, idx: np.ndarray,
-                   w: np.ndarray) -> np.ndarray:
-    v = np.moveaxis(values, axis, 0)
-    out = (
-        w[:, 0].reshape(-1, *([1] * (v.ndim - 1))) * v[idx[:, 0]]
-        + w[:, 1].reshape(-1, *([1] * (v.ndim - 1))) * v[idx[:, 1]]
-        + w[:, 2].reshape(-1, *([1] * (v.ndim - 1))) * v[idx[:, 2]]
-    )
-    return np.moveaxis(out, 0, axis)
+def _apply_stencil(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The `_stencil_1d` weights applied along the first axis.
+
+    Slices stand in for index gathers; each row still sums its three
+    products left to right, so the bits are those of the gathered form.
+    """
+    M = len(values)
+    wb = w.reshape(M, 3, *([1] * (values.ndim - 1)))
+    out = np.empty_like(values)
+    mid = out[1:M - 1]
+    np.multiply(wb[1:M - 1, 0], values[0:M - 2], out=mid)
+    mid += wb[1:M - 1, 1] * values[1:M - 1]
+    mid += wb[1:M - 1, 2] * values[2:M]
+    for i, lo in ((0, 0), (M - 1, M - 3)):
+        out[i] = (wb[i, 0] * values[lo] + wb[i, 1] * values[lo + 1]
+                  + wb[i, 2] * values[lo + 2])
+    return out
 
 
 def _periodic_spectral(values: np.ndarray, axis: int) -> np.ndarray:
-    """Derivative along a uniform periodic [0, 2pi) axis via the FFT."""
-    n = values.shape[axis]
-    vhat = np.fft.rfft(values, axis=axis)
-    k = np.arange(vhat.shape[axis])
+    """Derivative along a uniform periodic [0, 2pi) axis via the FFT.
+
+    The transforms run along a contiguous last axis, about three times
+    faster than along a strided one and with the same bits; the result is
+    a view with that axis moved back into place.
+    """
+    v = np.ascontiguousarray(np.moveaxis(values, axis, -1))
+    n = v.shape[-1]
+    vhat = np.fft.rfft(v, axis=-1)
+    k = np.arange(vhat.shape[-1])
     if n % 2 == 0:
         k[-1] = 0  # drop the unpaired Nyquist mode
-    shape = [1] * values.ndim
-    shape[axis] = -1
-    vhat *= 1j * k.reshape(shape)
-    return np.fft.irfft(vhat, n=n, axis=axis)
+    vhat *= 1j * k
+    return np.moveaxis(np.fft.irfft(vhat, n=n, axis=-1), -1, axis)
 
 
 def _diff_matrix(nodes: np.ndarray) -> np.ndarray:
@@ -107,6 +118,12 @@ class SampledMap:
                  ratio: float = 0.9, n_eta: int = 16, n_phi: int = 32):
         if not 0 < ratio < 1:
             raise ValueError("radial ratio must lie in (0, 1)")
+        # the fewest nodes each derivative needs: a 3-point radial stencil,
+        # a nonconstant polynomial in eta, a first Fourier mode in phi
+        for name, n, least in (("n_radial", n_radial, 3), ("n_eta", n_eta, 2),
+                               ("n_phi", n_phi, 3)):
+            if n < least:
+                raise ValueError(f"{name} must be at least {least}, got {n}")
         self.r_max = float(r_max)
         self.ratio = float(ratio)
         self.radii = r_max * ratio ** np.arange(n_radial)[::-1]
@@ -167,16 +184,18 @@ class SampledMap:
         if self._grad is not None:
             return self._grad
         v = self.values
-        idx_r, w_r = _stencil_1d(self.radii)
-        du_rho = _apply_stencil(v, 0, idx_r, w_r)
-        D_eta = _diff_matrix(self.eta)
-        du_eta = np.einsum("ef,rfabd->reabd", D_eta, v)
+        du_rho = _apply_stencil(v, _stencil_1d(self.radii))
+        du_eta = np.einsum("ef,rfabd->reabd", _diff_matrix(self.eta), v)
         du_p1 = _periodic_spectral(v, 2)
         du_p2 = _periodic_spectral(v, 3)
         rho = self.radii[:, None, None, None, None]
         ce = np.cos(self.eta)[None, :, None, None, None]
         se = np.sin(self.eta)[None, :, None, None, None]
-        grad = (du_rho, du_eta / rho, du_p1 / (rho * ce), du_p2 / (rho * se))
+        # scaled in place: each array is this method's own fresh result
+        du_eta /= rho
+        du_p1 /= rho * ce
+        du_p2 /= rho * se
+        grad = (du_rho, du_eta, du_p1, du_p2)
         for g in grad:
             g.flags.writeable = False
         self._grad = grad

@@ -87,6 +87,47 @@ def test_degenerate_triangle_rejected():
         )
 
 
+def _tricurrent_geometry_reference(V, T, M):
+    """Areas, tangents, longest edges and centroids from per-corner gathers
+    and an index-array skew product, on sign-normalized triangles."""
+    V = np.asarray(V, dtype=float)
+    T = np.array(T, dtype=int)
+    flip = np.asarray(M) < 0
+    T[flip] = T[flip][:, [0, 2, 1]]
+    P0 = V[T[:, 0]]
+    u = V[T[:, 1]] - P0
+    w = V[T[:, 2]] - P0
+    i, j = xt.pairs2(V.shape[1])
+    skew = u[:, i] * w[:, j] - u[:, j] * w[:, i]
+    norms = np.linalg.norm(skew, axis=1)
+    sq = [np.einsum("ij,ij->i", e, e) for e in (u, w, w - u)]
+    longest = np.sqrt(np.maximum(np.maximum(sq[0], sq[1]), sq[2]))
+    centroids = (V[T[:, 0]] + V[T[:, 1]] + V[T[:, 2]]) / 3.0
+    return 0.5 * norms, skew / norms[:, None], longest, centroids
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=6),
+)
+def test_property_tricurrent_geometry_matches_reference(seed, m):
+    """The geometry built from one corner gather is the reference's, bit
+    for bit and in the same memory layout, on random meshes in R^m with
+    flipped (negative) triangles."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    V = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3, 3)
+    T = [rng.choice(n, 3, replace=False) for _ in range(int(rng.integers(1, 60)))]
+    M = rng.choice([-3, -2, -1, 1, 2], len(T))
+    C = cur.TriCurrent(V, T, M)
+    want = _tricurrent_geometry_reference(V, T, M)
+    got = (C.areas, C.tangents, C.longest_edges, C.centroids)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.strides == w.strides
+        assert np.array_equal(g, w)
+
+
 def test_region_parameter_validation():
     with pytest.raises(ValueError):
         cur.Region.annulus(np.zeros(4), 0.5, 0.5)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from curlab import exterior as xt
@@ -441,3 +443,121 @@ def test_sampled_map_memoizes_derived_grids():
         for p, e in zip(parts, u.frame_vectors()):
             want += p[..., :, None] * e[..., None, :]
         assert jac.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid, name", [
+    (dict(n_radial=2), "n_radial"),
+    (dict(n_radial=1), "n_radial"),
+    (dict(n_eta=1), "n_eta"),
+    (dict(n_eta=0), "n_eta"),
+    (dict(n_phi=2), "n_phi"),
+    (dict(n_phi=1), "n_phi"),
+])
+def test_sampled_map_rejects_grids_too_small_to_differentiate(grid, name):
+    """A radial stencil needs 3 radii, an eta derivative 2 nodes and a phi
+    derivative a first Fourier mode; below that the map is refused rather
+    than given a NaN, zero or unrelated failure."""
+    with pytest.raises(ValueError, match=name):
+        jh.map_example("z1", **grid)
+
+
+def _stencil_1d_reference(t):
+    """3-point stencils as (index, weight) rows, as they were gathered."""
+    M = len(t)
+    idx = np.zeros((M, 3), dtype=int)
+    w = np.zeros((M, 3))
+    for i in range(M):
+        j = min(max(i, 1), M - 2)
+        x0, x1, x2 = t[j - 1], t[j], t[j + 1]
+        x = t[i]
+        w0 = (2 * x - x1 - x2) / ((x0 - x1) * (x0 - x2))
+        w1 = (2 * x - x0 - x2) / ((x1 - x0) * (x1 - x2))
+        w2 = (2 * x - x0 - x1) / ((x2 - x0) * (x2 - x1))
+        idx[i] = (j - 1, j, j + 1)
+        w[i] = (w0, w1, w2)
+    return idx, w
+
+
+def _apply_stencil_reference(values, axis, idx, w):
+    """The stencil applied by three fancy-index gathers of the whole grid."""
+    v = np.moveaxis(values, axis, 0)
+    out = (
+        w[:, 0].reshape(-1, *([1] * (v.ndim - 1))) * v[idx[:, 0]]
+        + w[:, 1].reshape(-1, *([1] * (v.ndim - 1))) * v[idx[:, 1]]
+        + w[:, 2].reshape(-1, *([1] * (v.ndim - 1))) * v[idx[:, 2]]
+    )
+    return np.moveaxis(out, 0, axis)
+
+
+def _periodic_spectral_reference(values, axis):
+    """The FFT derivative taken along the axis where it lies, strided."""
+    n = values.shape[axis]
+    vhat = np.fft.rfft(values, axis=axis)
+    k = np.arange(vhat.shape[axis])
+    if n % 2 == 0:
+        k[-1] = 0
+    shape = [1] * values.ndim
+    shape[axis] = -1
+    vhat *= 1j * k.reshape(shape)
+    return np.fft.irfft(vhat, n=n, axis=axis)
+
+
+def _frame_partials_reference(u):
+    """Frame partials by gathers, strided FFTs and scaling copies."""
+    v = u.values
+    idx_r, w_r = _stencil_1d_reference(u.radii)
+    du_rho = _apply_stencil_reference(v, 0, idx_r, w_r)
+    du_eta = np.einsum("ef,rfabd->reabd", jh._diff_matrix(u.eta), v)
+    du_p1 = _periodic_spectral_reference(v, 2)
+    du_p2 = _periodic_spectral_reference(v, 3)
+    rho = u.radii[:, None, None, None, None]
+    ce = np.cos(u.eta)[None, :, None, None, None]
+    se = np.sin(u.eta)[None, :, None, None, None]
+    return du_rho, du_eta / rho, du_p1 / (rho * ce), du_p2 / (rho * se)
+
+
+def _scalar_map(x):
+    """A d = 1 map: a polynomial in the coordinates with a periodic term."""
+    return x[:, 0] * x[:, 2] - 0.5 * x[:, 1] ** 3 + np.sin(x[:, 3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["scalar", "z1", "z1z2", "hopf"]),
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=3, max_value=16),
+    st.floats(min_value=0.5, max_value=0.95),
+    st.floats(min_value=0.1, max_value=10.0),
+)
+def test_property_map_derivatives_match_reference(name, n_radial, n_eta,
+                                                  n_phi, ratio, r_max):
+    """Frame partials, both densities and the Jacobian are the same bytes
+    as those of the gathered stencil, the strided FFTs and the scaling
+    copies, on every grid a map accepts; each returned array is read-only."""
+    grid = dict(n_radial=n_radial, n_eta=n_eta, n_phi=n_phi, ratio=ratio,
+                r_max=r_max)
+    if name == "scalar":
+        u = jh.SampledMap(_scalar_map, **grid)
+    else:
+        u = jh.map_example(name, **grid)
+    assert u.d == {"scalar": 1, "hopf": 3}.get(name, 2)
+    parts = u.frame_partials()
+    want = _frame_partials_reference(u)
+    for got, ref in zip(parts, want, strict=True):
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    energy = np.einsum("...d,...d->...", want[0], want[0])
+    for p in want[1:]:
+        energy += np.einsum("...d,...d->...", p, p)
+    assert u.energy_density().tobytes() == energy.tobytes()
+    radial = np.einsum("...d,...d->...", want[0], want[0])
+    assert u.radial_density().tobytes() == radial.tobytes()
+    jac = np.zeros(u.values.shape + (4,))
+    for p, e in zip(want, u.frame_vectors()):
+        jac += p[..., :, None] * e[..., None, :]
+    assert u.gradient().tobytes() == jac.tobytes()
+
+    for arr in (*parts, u.energy_density(), u.radial_density(), u.gradient()):
+        assert not arr.flags.writeable
