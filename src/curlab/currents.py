@@ -375,9 +375,18 @@ def _effective_region(C: TriCurrent, R: Region | None) -> Region:
     return Region.intersect(R, clip)
 
 
-def _ball_clip(C: TriCurrent, V, idx, r: float) -> np.ndarray:
-    """Exact areas inside the ball B_r of triangles idx, with the vertices
-    V relative to the ball's center: each plane meets the ball in a disk."""
+def _plane_sections(C: TriCurrent, V, idx, r: float):
+    """Where the planes of triangles idx meet the ball B_r, with the
+    vertices V relative to the ball's center: each plane that passes within
+    r of the center meets the ball in a disk about the foot of the center.
+
+    Returns near (bool, len(idx)), whether a plane passes within r, and for
+    the near triangles: their corners in orthonormal plane coordinates
+    about the foot (k, 3, 2), the squared offsets d^2 of their planes from
+    the center (k,), the in-plane radii sqrt(r^2 - d^2) (k,), and the frame
+    (foot, e, f), each (k, m), that maps plane coordinates (x, y) back to
+    the center-relative point foot + x e + y f.
+    """
     T = C.triangles
     u1, u2 = plane_frames(C.tangents[idx], C.m)
     a = V[T[idx, 0]]  # first vertex in center-relative coordinates
@@ -385,15 +394,23 @@ def _ball_clip(C: TriCurrent, V, idx, r: float) -> np.ndarray:
     cx = np.einsum("ij,ij->i", crel, u1)
     cy = np.einsum("ij,ij->i", crel, u2)
     off2 = np.einsum("ij,ij->i", crel, crel) - cx * cx - cy * cy
-    near = off2 < r * r  # the plane meets the ball in a disk of radius rp
-    out = np.zeros(len(idx))
+    near = off2 < r * r
     idx, a, u1, u2, cx, cy = idx[near], a[near], u1[near], u2[near], cx[near], cy[near]
-    rp = np.sqrt(r * r - off2[near])
-    # triangle vertices in plane coordinates, disk center at origin
+    off2 = off2[near]
+    rp = np.sqrt(r * r - off2)
     p = V[T[idx]] - a[:, None, :]
     x = np.einsum("nkj,nj->nk", p, u1) - cx[:, None]
     y = np.einsum("nkj,nj->nk", p, u2) - cy[:, None]
-    out[near] = np.abs(tri_disk_areas(np.stack([x, y], axis=2), rp))
+    foot = a + cx[:, None] * u1 + cy[:, None] * u2
+    return near, np.stack([x, y], axis=2), off2, rp, (foot, u1, u2)
+
+
+def _ball_clip(C: TriCurrent, V, idx, r: float) -> np.ndarray:
+    """Exact areas inside the ball B_r of triangles idx, with the vertices
+    V relative to the ball's center: each plane meets the ball in a disk."""
+    near, xy, _, rp, _ = _plane_sections(C, V, idx, r)
+    out = np.zeros(len(idx))
+    out[near] = np.abs(tri_disk_areas(xy, rp))
     return out
 
 
@@ -664,36 +681,255 @@ def _quad_integrate(corners, tangents, areas, mults, fn):
 
 _INTEGRATE_MAX_DEPTH = 5
 
+# Gauss-Legendre nodes in angle and in radius per sub-wedge of a section
+_SECTION_NODES = (8, 6)
+_GL_THETA, _GL_RHO = (np.polynomial.legendre.leggauss(n) for n in _SECTION_NODES)
+# a sub-wedge is kept when its radial interval at the middle angle is
+# longer than this share of the triangle's reach from the foot
+_SECTION_EMPTY = 1e-12
+# an edge line passing closer to the foot than this share of the reach
+# bounds a sliver too thin to grade toward (`_graded_wedges`)
+_SECTION_THIN = 1e-13
+# graded pieces toward a pole of an edge limit are at most this share of
+# their distance to it, and at most this many toward each end of a sub-wedge
+_SECTION_GRADE = 0.5
+_SECTION_GRADES = 96
+
+
+def _ray_limits(normals, h, inner, outer, theta):
+    """The interval [a, b] in which the ray from the origin at angle theta
+    (n, k) meets triangle n within the annulus inner <= rho <= outer (n,):
+    the Cyrus-Beck clip of the ray against the edge half-planes
+    normals . p >= h, with inward normals (n, 3, 2) and offsets h (n, 3).
+
+    Returns a and b, each (n, k), and which limit each is: the edge index,
+    or -1 for a circle (or the origin). The interval is empty where b <= a.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    lower = [np.broadcast_to(inner[:, None], theta.shape)]
+    upper = [np.broadcast_to(outer[:, None], theta.shape)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e in range(3):
+            nd = normals[:, e, 0, None] * c + normals[:, e, 1, None] * s
+            he = h[:, e, None]
+            bound = he / nd
+            lower.append(np.where(nd > 0.0, bound, -np.inf))
+            # a ray parallel to an edge it lies outside of misses the triangle
+            upper.append(np.where(nd < 0.0, bound,
+                                  np.where((nd == 0.0) & (he > 0.0), -np.inf, np.inf)))
+    lower, upper = np.stack(lower), np.stack(upper)
+    ia, ib = np.argmax(lower, axis=0), np.argmin(upper, axis=0)
+    a = np.take_along_axis(lower, ia[None], axis=0)[0]
+    b = np.take_along_axis(upper, ib[None], axis=0)[0]
+    return a, b, ia - 1, ib - 1
+
+
+def _graded_wedges(lo, hi, poles):
+    """Split sub-wedges [lo, hi] (W,) geometrically toward the nearest
+    pole of their edge limits beyond each end, so each piece is no longer
+    than `_SECTION_GRADE` times its distance to the pole.
+
+    An edge limit h / (n . dir) is analytic in the angle but has poles at
+    the two angles parallel to the edge; an edge line that passes close to
+    the origin puts one just past a sub-wedge's end, where the limit turns
+    sharply over an angle of about its distance to the origin over the
+    distance to the edge's end. poles (W, k) holds the pole angles of each
+    sub-wedge's edge limits (nan for none). Returns the pieces' wedge
+    index, lo and hi.
+    """
+    two_pi = 2.0 * np.pi
+    width = hi - lo
+    below = np.nanmin(np.mod(lo[:, None] - poles, two_pi), axis=1, initial=np.inf)
+    above = np.nanmin(np.mod(poles - hi[:, None], two_pi), axis=1, initial=np.inf)
+    graded = [gap * _SECTION_GRADE < width for gap in (below, above)]
+    todo = np.nonzero(graded[0] | graded[1])[0]
+    if len(todo) == 0:
+        return np.arange(len(lo)), lo, hi
+    lo_, hi_, width = lo[todo], hi[todo], width[todo]
+    below, above = below[todo], above[todo]
+    graded = [g[todo] for g in graded]
+    both = graded[0] & graded[1]
+    # cut j lies (1 + c)^j - 1 gaps from the end, so piece j is c times
+    # its distance to the pole; graded from both ends, each end takes half
+    reach = np.where(both, 0.5 * width, width)
+    with np.errstate(divide="ignore"):
+        ratio = max(float(np.max(reach / gap, where=ok, initial=1.0))
+                    for gap, ok in zip((below, above), graded))
+    count = min(math.ceil(math.log1p(min(ratio, 1e300)) / math.log1p(_SECTION_GRADE)),
+                _SECTION_GRADES)
+    steps = (1.0 + _SECTION_GRADE) ** np.arange(1, count + 1) - 1.0
+    cuts = [lo_[:, None], hi_[:, None], np.where(both, 0.5 * (lo_ + hi_), np.nan)[:, None]]
+    for gap, sign, end, ok in zip((below, above), (1.0, -1.0), (lo_, hi_), graded):
+        at = np.maximum(gap, reach / steps[-1])[:, None] * steps  # from this end
+        cuts.append(np.where(ok[:, None] & (at < reach[:, None]),
+                             end[:, None] + sign * at, np.nan))
+    theta = np.sort(np.concatenate(cuts, axis=1), axis=1)
+    rows, k = np.nonzero(theta[:, 1:] > theta[:, :-1])  # nan compares false
+    keep = np.ones(len(lo), dtype=bool)
+    keep[todo] = False
+    w = np.concatenate([np.nonzero(keep)[0], todo[rows]])
+    order = np.argsort(w, kind="stable")
+    return (w[order], np.concatenate([lo[keep], theta[rows, k]])[order],
+            np.concatenate([hi[keep], theta[rows, k + 1]])[order])
+
+
+def _section_wedges(xy, inner, outer):
+    """Split each planar section {p in triangle : inner <= |p| <= outer}
+    into sub-wedges about the origin on which both radial limits are
+    analytic in the angle.
+
+    xy (n, 3, 2) are the corners about the origin, inner and outer (n,).
+    The breakpoints are the corners' angles, the angles where an edge
+    crosses either circle, and +-pi. Sub-wedges whose radial interval at
+    the middle angle is empty, or shorter than `_SECTION_EMPTY` times the
+    farthest corner's distance, are dropped; those whose edge limits turn
+    sharply near an end are graded toward it (`_graded_wedges`). Returns
+    the triangle of each sub-wedge (G,), its angles theta0 < theta1 (G,),
+    and the inward edge normals (n, 3, 2) and offsets (n, 3) for
+    `_ray_limits`.
+    """
+    n = len(xy)
+    E = xy[:, [1, 2, 0]] - xy  # edge k runs from corner k to corner k + 1
+    orient = np.where(
+        E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0] < 0.0, -1.0, 1.0
+    )
+    normals = orient[:, None, None] * np.stack([-E[..., 1], E[..., 0]], axis=2)
+    h = np.einsum("nkj,nkj->nk", normals, xy)
+    breaks = [np.arctan2(xy[..., 1], xy[..., 0])]
+    qa = np.einsum("nkj,nkj->nk", E, E)
+    qb = np.einsum("nkj,nkj->nk", xy, E)
+    pp = np.einsum("nkj,nkj->nk", xy, xy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rad in (inner, outer):
+            disc = qb * qb - qa * (pp - (rad * rad)[:, None])
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            for t in ((-qb - sq) / qa, (-qb + sq) / qa):
+                hit = (disc > 0.0) & (t > 0.0) & (t < 1.0)
+                p = xy + t[..., None] * E
+                breaks.append(np.where(hit, np.arctan2(p[..., 1], p[..., 0]), np.nan))
+    breaks.append(np.full((n, 2), [-np.pi, np.pi]))
+    theta = np.sort(np.concatenate(breaks, axis=1), axis=1)  # nan last
+    lo, hi = theta[:, :-1], theta[:, 1:]
+    a, b, ia, ib = _ray_limits(normals, h, inner, outer, 0.5 * (lo + hi))
+    reach = np.sqrt(pp.max(axis=1))
+    keep = (hi > lo) & (b - a > _SECTION_EMPTY * reach[:, None])
+    rows, cols = np.nonzero(keep)
+    lo, hi = lo[rows, cols], hi[rows, cols]
+    # the poles of the edge limits, unless the edge line is too close to
+    # the origin for its sliver to matter
+    along = np.arctan2(E[..., 1], E[..., 0])
+    thick = np.abs(h) > _SECTION_THIN * reach[:, None] * np.sqrt(qa)
+    poles = []
+    for e in (ia[rows, cols], ib[rows, cols]):
+        edge = np.maximum(e, 0)
+        real = (e >= 0) & thick[rows, edge]
+        psi = np.where(real, along[rows, edge], np.nan)
+        poles += [psi, psi + np.pi]
+    w, lo, hi = _graded_wedges(lo, hi, np.stack(poles, axis=1))
+    return rows[w], lo, hi, normals, h
+
+
+def _section_integrate(C: TriCurrent, fn, center, idx, inner: float,
+                       outer: float) -> float:
+    """Integral of fn over the triangles idx intersected with the annulus
+    inner < |x - center| <= outer (a ball when inner is 0), on each
+    triangle's exact planar section.
+
+    The section is the triangle cut by two circles about the foot of the
+    center in its plane (`_plane_sections`). In polar coordinates about the
+    foot, each sub-wedge of `_section_wedges` takes a tensor Gauss-Legendre
+    rule with `_SECTION_NODES` nodes in angle and radius and weight rho;
+    every node lies inside the section. fn sees one group per sub-wedge,
+    with its triangle's tangent row. A node whose weight is 0 (an empty ray
+    at a sub-wedge's end) is moved onto its group's heaviest node, so fn is
+    never evaluated off the section.
+    """
+    center = np.asarray(center, dtype=float)
+    near, xy, off2, ro, (foot, e, f) = _plane_sections(
+        C, C.vertices - center, idx, outer
+    )
+    idx = idx[near]
+    ri = np.sqrt(np.maximum(inner * inner - off2, 0.0))
+    g, th0, th1, normals, h = _section_wedges(xy, ri, ro)
+    if len(g) == 0:
+        return 0.0
+    (xt, wt), (xr, wr) = _GL_THETA, _GL_RHO
+    half = 0.5 * (th1 - th0)
+    theta = (th0 + half)[:, None] + half[:, None] * xt  # (G, n_theta)
+    a, b, _, _ = _ray_limits(normals[g], h[g], ri[g], ro[g], theta)
+    span = 0.5 * np.maximum(b - a, 0.0)
+    rho = (a + span)[..., None] + span[..., None] * xr  # (G, n_theta, n_rho)
+    w = ((half[:, None] * wt * span)[..., None] * wr * rho).reshape(len(g), -1)
+    x = (rho * np.cos(theta)[..., None]).reshape(len(g), -1, 1)
+    y = (rho * np.sin(theta)[..., None]).reshape(len(g), -1, 1)
+    owner = idx[g]
+    pts = center + foot[g, None] + x * e[g, None] + y * f[g, None]
+    empty = w <= 0.0
+    if np.any(empty):
+        heaviest = pts[np.arange(len(g)), np.argmax(w, axis=1)]
+        pts = np.where(empty[..., None], heaviest[:, None], pts)
+    vals = np.asarray(fn(pts, C.tangents[owner]), dtype=float)
+    return float(np.sum((vals * w).sum(axis=1) * C.multiplicities[owner]))
+
 
 def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
     """Integral over ||C|| restricted to R of a pointwise scalar field.
 
-    The integrand sees the quadrature points grouped by the (sub-)triangle
-    they lie on: fn(points (L, 7, m), tangents (L, n2)) -> (L, 7) values,
+    The integrand sees the quadrature points in groups, each on one
+    triangle: fn(points (L, k, m), tangents (L, n2)) -> (L, k) values,
     where tangents[l] is the unit 2-vector coefficient row of the triangle
-    under points[l]. An integrand should broadcast over any group size,
-    since `blowup` also calls its density with groups of one point.
+    under points[l]. The group size k depends on the path below, so an
+    integrand should broadcast over any group size; `blowup` also calls
+    its density with groups of one point.
 
-    Triangles with every vertex inside R go through the order-7 quadrature
-    with one adaptive refinement pass (`_quad_integrate`). Every other
-    triangle is subdivided into its four midpoint children, level by level,
-    until a sub-triangle has all vertices inside, no vertex inside, or sits
-    at depth 5. Each such leaf gets the 7-point rule masked by membership of
-    the quadrature points, and fn is not called on a leaf with no
-    quadrature point inside. A triangle with no vertex inside R is thus one
-    masked leaf and is not split.
+    Full space, and the triangles that lie inside R, go through the
+    order-7 quadrature with one adaptive refinement pass
+    (`_quad_integrate`, k = 7).
 
-    Each point is tested once: the corners' part values (`Region
-    ._part_values`) are computed once and carried down the subdivision, and
-    triangles and leaves that `Region._classify` calls outside R are
-    dropped before their quadrature points are built; leaves it calls
-    inside skip the quadrature-point test.
+    For a ball or an annulus, a triangle lies inside when its farthest
+    vertex is in the (outer) ball and, for an annulus, its closest point
+    lies outside the hole; it lies outside when its closest point is
+    outside the ball or its farthest vertex inside the hole; corner
+    distances and edge lengths decide most triangles (`Region._classify`),
+    and closest points the rest. A triangle that meets the region's
+    boundary is integrated on its exact planar section by a polar
+    Gauss-Legendre rule (`_section_integrate`, one group of
+    k = n_theta * n_rho nodes per sub-wedge), so these integrals have
+    quadrature error only and `integrate(C, 1, R)` is the clipped mass to
+    rounding.
+
+    Cylinders, cone complements and intersections, which no pipeline
+    integrates over, keep midpoint subdivision: a triangle with a vertex
+    outside R is split into its four midpoint children, level by level
+    (`_subdivide`), until a sub-triangle has all vertices inside, no vertex
+    inside, or sits at depth 5. Each such leaf gets the 7-point rule masked
+    by membership of the quadrature points (k = 7), and fn is not called on
+    a leaf with no quadrature point inside. The corners' part values
+    (`Region._part_values`) are carried down the subdivision, and leaves
+    that `Region._classify` calls outside R are dropped before their
+    quadrature points are built, those it calls inside skip the
+    quadrature-point test.
     """
     R = _effective_region(C, R)
     corners = C.corners()
     if R.kind == "full":
         return _quad_integrate(corners, C.tangents, C.areas, C.multiplicities, fn)
     corner_vals = R._part_values(corners)
+    out, inside = R._classify(corner_vals, C.longest_edges)
+    if R.kind in ("ball", "annulus"):
+        hole, ball = (R.inner, R.outer) if R.kind == "annulus" else (0.0, R.radius)
+        # the closest point and the farthest vertex decide the rest exactly
+        todo = np.nonzero(~(out | inside))[0]
+        crn = corners[todo]
+        q, _ = _closest_points_on_triangles(R.center, crn[:, 0], crn[:, 1], crn[:, 2])
+        near = _distances(q, R.center)
+        far = corner_vals[todo, :, 0].max(axis=1)
+        inside[todo] = (far <= ball) & ((near > hole) | (hole == 0.0))
+        out[todo] = (near > ball) | (far <= hole)
+        acc = _quad_integrate(corners[inside], C.tangents[inside], C.areas[inside],
+                              C.multiplicities[inside], fn)
+        meets = np.nonzero(~(out | inside))[0]
+        return acc + _section_integrate(C, fn, R.center, meets, hole, ball)
     all_in = np.all(R._members(corner_vals), axis=1)
     acc = _quad_integrate(
         corners[all_in],
@@ -702,7 +938,6 @@ def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
         C.multiplicities[all_in],
         fn,
     )
-    out, _ = R._classify(corner_vals, C.longest_edges)
 
     def is_leaf(depth, tri, val, area):
         inn = R._members(val)

@@ -540,6 +540,54 @@ def test_calibration_bound(disk, graph):
         assert abs(cur.pair(C, om, R)) <= (1 + 1e-6) * qmass
 
 
+@pytest.fixture(scope="module")
+def shipped(disk, graph):
+    return {
+        "cusp": ex.cusp(),
+        "cusp_fine": ex.cusp(n_theta=128, factor=0.9),
+        "disk": disk,
+        "graph": graph,
+        "two_lines": ex.two_lines(h=0.3),
+        "graded": ex.holomorphic_graph(k=2, graded=True),
+    }
+
+
+@pytest.mark.parametrize("name", ["cusp", "cusp_fine", "disk", "graph", "two_lines",
+                                  "graded"])
+def test_integrate_unit_matches_clipped_mass(name, shipped, monkeypatch):
+    """Ball and annulus integrals have quadrature error only: the integral
+    of 1 is the exactly clipped mass to 1e-12, with no subdivision (the
+    depth-5 leaves were off by up to 4.8e-4, and by 0.14 on two_lines)."""
+    C = shipped[name]
+
+    def no_subdivision(*args):
+        raise AssertionError("ball and annulus integrals do not subdivide")
+
+    monkeypatch.setattr(cur, "_subdivide", no_subdivision)
+    x0 = np.zeros(4)
+    for R in (cur.Region.ball(x0, 0.1), cur.Region.ball(x0, 0.37),
+              cur.Region.annulus(x0, 0.05, 0.2), cur.Region.annulus(x0, 0.2, 0.7)):
+        got = cur.integrate(C, lambda p, t: np.ones(p.shape[:-1]), R)
+        assert got == pytest.approx(cur.mass(C, R), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("inner, outer", [(0.2, 0.7), (0.3, 0.6)])
+def test_integrate_annulus_counts_triangles_dipping_into_the_hole(disk, inner, outer):
+    """A triangle whose corners lie in the annulus but whose face dips into
+    the hole is integrated on its section, not as a whole (which was off by
+    1.5e-4 and 2.4e-4 on this disk)."""
+    R = cur.Region.annulus(np.zeros(4), inner, outer)
+    corners = disk.corners()
+    d = np.linalg.norm(corners, axis=2)
+    q, _ = cur._closest_points_on_triangles(np.zeros(4), corners[:, 0], corners[:, 1],
+                                           corners[:, 2])
+    dips = (d.min(axis=1) > inner) & (d.max(axis=1) <= outer) & (
+        np.linalg.norm(q, axis=1) <= inner)
+    assert np.any(dips)
+    got = cur.integrate(disk, lambda p, t: np.ones(p.shape[:-1]), R)
+    assert got == pytest.approx(cur.mass(disk, R), rel=1e-12, abs=0.0)
+
+
 def test_refinement_mass_ratio():
     """Mass error of the z^2 graph decays at second order in h."""
     exact = 3 * math.pi
@@ -721,13 +769,12 @@ def _random_region(rng, kind, m):
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
-    st.sampled_from(["full", "ball", "annulus", "cylinder", "cone_complement",
-                     "dilated"]),
+    st.sampled_from(["cylinder", "cone_complement", "dilated"]),
 )
 def test_property_integrate_matches_recursive_reference(seed, kind):
     """The level-synchronous integrate, with its integrand seeing one
     tangent row per group of 7 points, agrees with the recursive one on the
-    pointwise contract."""
+    pointwise contract, on the regions it still subdivides."""
     rng = np.random.default_rng(seed)
     m = 4
     pts = rng.standard_normal((12, m))
@@ -1174,12 +1221,13 @@ def test_midpoint_children_and_distances_keep_their_bits():
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
-    st.sampled_from(_KINDS),
+    st.sampled_from(["cylinder", "cone_complement", "dilated"]),
     st.sampled_from([1e-3, 1.0, 1e3]),
 )
 def test_property_integrate_matches_levelsync_reference(seed, kind, scale):
-    """integrate hands fn the same groups of points, in the same order, and
-    returns the same bits as the form that tests every point it builds."""
+    """On the regions it still subdivides, integrate hands fn the same
+    groups of points, in the same order, and returns the same bits as the
+    form that tests every point it builds."""
     rng = np.random.default_rng(seed)
     C, R = _random_case(rng, kind, scale)
     a = rng.standard_normal(C.m) / scale
@@ -1198,12 +1246,149 @@ def test_property_integrate_matches_levelsync_reference(seed, kind, scale):
     assert len(calls["got"]) == len(calls["want"])
     for (p, t), (q, s) in zip(calls["got"], calls["want"]):
         assert np.array_equal(p, q) and np.array_equal(t, s)
-    if kind in ("ball", "annulus", "cylinder"):
+    if kind == "cylinder":
         # the far triangles are dropped before any point of theirs is built
         d = R._part_values(C.corners())  # distances to center or axis
         out, _ = R._classify(d, C.longest_edges)
         far = np.all(d[..., 0] > 4.0 * scale + C.longest_edges[:, None], axis=1)
         assert np.all(out[far])
+
+
+def _section_rays_reference(P, theta):
+    """Where the rays from the origin at angles theta (k,) meet the
+    triangle with corners P (3, 2): the barycentric coordinates of
+    rho (cos, sin) are affine in rho, and each must stay >= 0. Returns
+    (a, b), each (k,); the ray misses where b <= a."""
+    inv = np.linalg.inv(np.column_stack([P[1] - P[0], P[2] - P[0]]))
+    st0 = inv @ -P[0]  # (s, t) of the origin
+    alpha = np.array([1.0 - st0.sum(), st0[0], st0[1]])
+    dst = np.stack([np.cos(theta), np.sin(theta)], axis=1) @ inv.T
+    beta = np.column_stack([-dst.sum(axis=1), dst])
+    a, b = np.zeros(len(theta)), np.full(len(theta), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(3):
+            r = -alpha[i] / beta[:, i]
+            a = np.where(beta[:, i] > 0, np.maximum(a, r), a)
+            b = np.where(beta[:, i] < 0, np.minimum(b, r), b)
+            b = np.where((beta[:, i] == 0) & (alpha[i] < 0), -np.inf, b)
+    return a, b
+
+
+def _section_reference(C, fn, R, n=16, grades=49):
+    """`cur.integrate` over a ball or an annulus at much higher order, one
+    triangle and one sub-wedge at a time, on the pointwise contract of
+    `_quad_integrate_reference`.
+
+    The same split into inside, outside and boundary triangles; the inside
+    ones go through `_quad_integrate_reference`. A boundary triangle's
+    plane gets a Gram-Schmidt frame of its edges; its section is cut at
+    the corners' angles about the foot of the center, at the angles where
+    an edge crosses either circle, and at +-pi, and each sub-wedge is cut
+    again at 2^-j of its width from either end (j = 1..grades), so a limit
+    that turns sharply at an end is resolved. Every piece gets n x n
+    Gauss-Legendre nodes in angle and radius.
+    """
+    x0 = R.center
+    hole, ball = (R.inner, R.outer) if R.kind == "annulus" else (0.0, R.radius)
+    corners = C.corners()
+    q, _ = cur._closest_points_on_triangles(x0, corners[:, 0], corners[:, 1],
+                                           corners[:, 2])
+    near = np.linalg.norm(q - x0, axis=1)
+    far = np.linalg.norm(corners - x0, axis=2).max(axis=1)
+    inside = (far <= ball) & ((near > hole) | (hole == 0.0))
+    out = (near > ball) | (far <= hole)
+    acc = _quad_integrate_reference(corners[inside], C.tangents[inside],
+                                    C.areas[inside], C.multiplicities[inside], fn)
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    steps = 2.0 ** -np.arange(1, grades + 1)
+    for k in np.nonzero(~(inside | out))[0]:
+        A, B, D = corners[k]
+        e = (B - A) / np.linalg.norm(B - A)
+        f = (D - A) - np.dot(D - A, e) * e
+        f /= np.linalg.norm(f)
+        foot = A + np.dot(x0 - A, e) * e + np.dot(x0 - A, f) * f
+        d2 = np.dot(x0 - foot, x0 - foot)
+        if d2 >= ball * ball:
+            continue
+        ro, ri = np.sqrt(ball * ball - d2), np.sqrt(max(hole * hole - d2, 0.0))
+        P = (corners[k] - foot) @ np.column_stack([e, f])
+        th = [-np.pi, np.pi] + [math.atan2(y, x) for x, y in P]
+        for i in range(3):
+            p, E = P[i], P[(i + 1) % 3] - P[i]
+            for rad in (ri, ro):
+                qa, qb, qc = E @ E, p @ E, p @ p - rad * rad
+                disc = qb * qb - qa * qc
+                if disc > 0:
+                    for t in ((-qb - math.sqrt(disc)) / qa, (-qb + math.sqrt(disc)) / qa):
+                        if 0 < t < 1:
+                            th.append(math.atan2(*(p + t * E)[::-1]))
+        th = np.unique(th)
+        for lo, hi in zip(th[:-1], th[1:]):
+            w = hi - lo
+            cuts = np.unique(np.concatenate([[lo, hi, lo + w / 2],
+                                             lo + w * steps, hi - w * steps]))
+            half = 0.5 * np.diff(cuts)
+            theta = ((cuts[:-1] + half)[:, None] + half[:, None] * xg).ravel()
+            wth = (half[:, None] * wg).ravel()
+            a, b = _section_rays_reference(P, theta)
+            a, b = np.maximum(a, ri), np.minimum(b, ro)
+            hit = b > a
+            theta, wth, a, b = theta[hit], wth[hit], a[hit], b[hit]
+            rho = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * xg
+            wts = (wth * 0.5 * (b - a))[:, None] * wg * rho
+            pts = (foot + (rho * np.cos(theta)[:, None])[..., None] * e
+                   + (rho * np.sin(theta)[:, None])[..., None] * f)
+            pts = pts.reshape(-1, C.m)
+            tans = np.broadcast_to(C.tangents[k], (len(pts), C.tangents.shape[1]))
+            vals = np.asarray(fn(pts, tans), dtype=float)
+            acc += float(vals @ wts.ravel()) * C.multiplicities[k]
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(["ball", "annulus", "vertex"]),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_property_integrate_sections_match_high_order_reference(seed, kind, scale):
+    """Ball and annulus integrals of a smooth integrand agree with the
+    order-16 section reference to 1e-9 of the integral of |f|, and the
+    integral of 1 with the exact clipped mass to 1e-13 of M(C).
+
+    Measured over 1000 seeds of this test's cases: the reference's
+    integral of 1 is off the clipped mass by at most 4.0e-15 of M(C), and
+    over 200 of them its integral of f moves by at most 8.5e-16 of the
+    integral of |f| at order 24;
+    integrate's 8 x 6 rule is off the reference by at most 5.8e-11 of the
+    integral of |f|, and off the clipped mass by at most 1.9e-15 of M(C).
+    `vertex` centers a ball on a corner of a triangle; an integrand that
+    is singular but integrable there must give a finite result.
+    """
+    rng = np.random.default_rng(seed)
+    C, R = _random_case(rng, "annulus" if kind == "annulus" else "ball", scale)
+    if kind == "vertex":
+        R = dataclasses.replace(R, center=C.vertices[C.triangles[0, rng.integers(3)]])
+    a = rng.standard_normal(C.m) / (4.0 * scale)
+    b = rng.standard_normal(len(xt.blades(C.m, 2)))
+
+    def fn_points(p, t):
+        return np.cos(p @ a) + (t @ b) ** 2 - 0.5
+
+    def fn(p, t):
+        return np.cos(p @ a) + ((t @ b) ** 2)[:, None] - 0.5
+
+    got = cur.integrate(C, fn, R)
+    want = _section_reference(C, fn_points, R)
+    size = _section_reference(C, lambda p, t: np.abs(fn_points(p, t)), R)
+    assert abs(got - want) <= 1e-9 * size
+    ones = cur.integrate(C, lambda p, t: np.ones(p.shape[:-1]), R)
+    assert abs(ones - cur.mass(C, R)) <= 1e-13 * cur.mass(C)
+    if kind == "vertex":
+        x0 = R.center
+        with np.errstate(divide="raise", invalid="raise"):
+            inv = cur.integrate(C, lambda p, t: scale / np.linalg.norm(p - x0, axis=-1), R)
+        assert np.isfinite(inv)
 
 
 @settings(max_examples=100, deadline=None)
