@@ -274,12 +274,15 @@ def gradient_energy_density(C: cur.TriCurrent, x0):
     return fn
 
 
-def _single_linkage(points: np.ndarray, threshold: float) -> np.ndarray:
+def _single_linkage(points: np.ndarray, threshold: float,
+                    dist: np.ndarray | None = None) -> np.ndarray:
     """Cluster labels by joining all pairs within the distance threshold:
     the connected components of that graph, numbered in order of their
-    lowest point index."""
-    close = _fs_dist_matrix(points, points) < threshold
-    _, labels = connected_components(csr_matrix(close), directed=False)
+    lowest point index. dist is the points' Fubini-Study distance matrix,
+    computed here when not given."""
+    if dist is None:
+        dist = _fs_dist_matrix(points, points)
+    _, labels = connected_components(csr_matrix(dist < threshold), directed=False)
     return labels
 
 
@@ -293,33 +296,44 @@ def _unit_phase(z: np.ndarray) -> np.ndarray:
     return z + 0.0  # no negative zeros
 
 
-def _cluster(points, weights, threshold):
-    labels = _single_linkage(points, threshold)
+def _direction_clusters(z, w, r: float, threshold: float) -> DirectionCluster:
+    """Single-linkage classes of the unit rows z (n, m/2) with weights w
+    (n,) at the angular threshold, sorted by decreasing weight; `stable`
+    when half the threshold gives as many classes. A class's
+    representative is the top eigenvector of its weighted Hermitian second
+    moment, with its phase fixed by `_unit_phase`.
+
+    One Fubini-Study distance matrix serves both linkages and the diameter
+    of a class of every point. A smaller class builds its own matrix for
+    its diameter: the entries of a BLAS product depend on the product's
+    shape, and a sub-block of the shared matrix can differ from it in the
+    last bit."""
+    dist = _fs_dist_matrix(z, z)
+    labels = _single_linkage(z, threshold, dist)
+    halved = _single_linkage(z, threshold / 2.0, dist)
     reps, ws, diams = [], [], []
     for lab in range(labels.max() + 1):
         sel = labels == lab
-        P = points[sel]
-        w = weights[sel]
-        M = np.einsum("p,pa,pb->ab", w, P, np.conj(P))
-        _, vecs = np.linalg.eigh(M)
+        P, wp = z[sel], w[sel]
+        _, vecs = np.linalg.eigh(np.einsum("p,pa,pb->ab", wp, P, np.conj(P)))
         reps.append(_unit_phase(vecs[:, -1]))
-        ws.append(float(w.sum()))
-        diams.append(float(_fs_dist_matrix(P, P).max()))
+        ws.append(float(wp.sum()))
+        diams.append(float((dist if len(P) == len(z) else _fs_dist_matrix(P, P)).max()))
     order = np.argsort(ws)[::-1]
-    return (
-        np.array(reps)[order],
-        np.array(ws)[order],
-        np.array(diams)[order],
-    )
+    return DirectionCluster(np.array(reps)[order], np.array(ws)[order], r,
+                            threshold, stable=bool(labels.max() == halved.max()),
+                            diameters=np.array(diams)[order])
 
 
 def tangent_directions(C: cur.TriCurrent, x0, r: float,
                        threshold: float = 0.1) -> DirectionCluster:
     """Direction classes hit by the slice of C at radius r around x0.
 
-    Slice points are projectivized and clustered by single linkage at the
-    given angular threshold; a rerun at half the threshold flags
-    instability instead of hiding it.
+    Slice chord midpoints are projectivized and clustered by single
+    linkage at the given angular threshold, each weighted by its length
+    and multiplicity over 2 pi r; a rerun at half the threshold flags
+    instability instead of hiding it (`_direction_clusters`, which builds
+    one distance matrix for both linkages).
     """
     x0 = np.asarray(x0, dtype=float)
     S = cur.slice_sphere(C, x0, r)
@@ -329,10 +343,7 @@ def tangent_directions(C: cur.TriCurrent, x0, r: float,
     z = _complex_rows(mids)
     z = z / np.linalg.norm(z, axis=1)[:, None]
     w = S.lengths() * S.multiplicities / (2 * math.pi * r)
-    reps, ws, diams = _cluster(z, w, threshold)
-    reps2, _, _ = _cluster(z, w, threshold / 2.0)
-    return DirectionCluster(reps, ws, r, threshold,
-                            stable=len(reps) == len(reps2), diameters=diams)
+    return _direction_clusters(z, w, r, threshold)
 
 
 def _transport_distance(A: DirectionCluster, B: DirectionCluster) -> float:
@@ -453,6 +464,9 @@ def dirichlet_iteration(C: cur.TriCurrent, x0, ladder,
     Picks a chart pole opposite the dominant direction cluster and checks
     the support stays clear of it; returns (energies, decay factors, pole).
     Geometric decay of E is the engine behind the density convergence rate.
+    E(r) is the integral of `gradient_energy_density` over the ball B_r;
+    the ladder's balls share one `currents.integrate_ladder`, which
+    evaluates the triangles inside them once.
     """
     x0 = np.asarray(x0, dtype=float)
     ladder = np.asarray(ladder, dtype=float)
@@ -472,10 +486,7 @@ def dirichlet_iteration(C: cur.TriCurrent, x0, ladder,
                 "support reaches the excluded chart ball around the pole "
                 f"(closest class at angular distance {gap:.3g})"
             )
-    fn = gradient_energy_density(C, x0)
-    energies = np.array(
-        [cur.integrate(C, fn, cur.Region.ball(x0, r)) for r in ladder]
-    )
+    energies = cur.integrate_ladder(C, gradient_energy_density(C, x0), x0, ladder)
     with np.errstate(divide="ignore", invalid="ignore"):
         factors = energies[1:] / energies[:-1]
     return energies, factors, pole

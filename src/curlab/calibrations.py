@@ -102,7 +102,10 @@ class TubularField(CalibrationField):
 
     The nearest triangle is exact: the K_CANDIDATES nearest centroids are
     searched first, and a point is searched again with twice the candidates
-    until no triangle outside them can be nearer (or within delta).
+    until no triangle outside them can be nearer (or within delta). Where a
+    point is equidistant from two triangles, as on the bisector of an edge,
+    rounding alone would pick one; distances within `tie` of the least one
+    are ties instead, and a tie goes to the lowest triangle index.
 
     Its rows_many is a method, since it needs the search structures built
     here; so __init__ sets m, comass_bound and closed itself.
@@ -111,6 +114,7 @@ class TubularField(CalibrationField):
     BAND = 0.025  # barycentric half-width of the edge blending band
     K_CANDIDATES = 12  # nearest centroids searched first for the nearest triangle
     PAIR_BLOCK = 1 << 16  # (point, candidate) pairs evaluated at once
+    TIE = 1e-12  # distances this close, relative to the coordinates, tie
 
     def __init__(self, S: cur.TriCurrent, delta: float):
         self.S = S
@@ -122,6 +126,9 @@ class TubularField(CalibrationField):
         # the farthest any triangle reaches from its centroid (a vertex)
         spokes = corners - S.centroids[:, None, :]
         self.rho_max = float(np.sqrt(_dot(spokes, spokes).max()))
+        # points within delta of S have coordinates up to this size, and
+        # distances rounded to a few ulps of them
+        self.tie = self.TIE * (float(np.abs(S.vertices).max()) + self.delta)
         self.neighbors = _edge_neighbors(S.triangles)
         self._check_reach()
         self.m = S.m
@@ -164,14 +171,17 @@ class TubularField(CalibrationField):
     def _locate(self, points):
         """Distance, nearest triangle and its barycentrics, per point.
 
-        A point is certified when min(distance, delta) <= d_k - rho_max,
-        with d_k its k-th centroid distance: every triangle outside the k
-        candidates is then at least that far. Uncertified points are
-        searched again with k doubled, up to every triangle; each round
-        tests only the candidates the last one did not. Ties go to the
-        candidate with the nearer centroid.
+        The nearest triangle is the lowest-index one within `tie` of the
+        least distance. A point is certified when
+        min(least distance, delta) + tie <= d_k - rho_max, with d_k its
+        k-th centroid distance: every triangle outside the k candidates is
+        then farther than a tie. Uncertified points are searched again with
+        k doubled, up to every triangle; each round tests only the
+        candidates the last one did not, and keeps its earlier choice when
+        that is still a tie and has the lower index.
         """
         n = len(points)
+        least = np.full(n, np.inf)
         dist = np.full(n, np.inf)
         tri = np.zeros(n, dtype=int)
         bary = np.zeros((n, 3))
@@ -191,12 +201,16 @@ class TubularField(CalibrationField):
                 off = x - q
                 d = np.sqrt(_dot(off, off))
                 r = np.arange(len(rows))
-                j = np.argmin(d, axis=1)
+                low = np.minimum(least[rows], d.min(axis=1))
+                tied = d <= (low + self.tie)[:, None]
+                j = np.argmin(np.where(tied, cand, len(self.S)), axis=1)
                 d, cand, b = d[r, j], cand[r, j], b[r, j]
-                new = d < dist[rows]  # a tie keeps the earlier candidate
+                kept = dist[rows] <= low + self.tie
+                new = tied[r, j] & (~kept | (cand < tri[rows]))
+                least[rows] = low
                 hit = rows[new]
                 dist[hit], tri[hit], bary[hit] = d[new], cand[new], b[new]
-                sure = np.minimum(dist[rows], self.delta) <= dc[:, -1] - self.rho_max
+                sure = np.minimum(low, self.delta) + self.tie <= dc[:, -1] - self.rho_max
                 left.append(rows[~sure])
             todo = np.concatenate(left) if k < len(self.S) else todo[:0]
             lo, k = k, min(2 * k, len(self.S))

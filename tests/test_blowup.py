@@ -258,6 +258,91 @@ def test_property_single_linkage_matches_union_find(seed, n):
     assert firsts == sorted(firsts)
 
 
+def _direction_clusters_reference(z, w, r, threshold):
+    """Direction clustering with a distance matrix per linkage and one per
+    cluster for its diameter: the single linkage at the threshold, again
+    at half of it for `stable`; kept here as the oracle of
+    `bl._direction_clusters`."""
+
+    def cluster(thr):
+        labels = bl._single_linkage(z, thr)
+        reps, ws, diams = [], [], []
+        for lab in range(labels.max() + 1):
+            sel = labels == lab
+            P = z[sel]
+            M = np.einsum("p,pa,pb->ab", w[sel], P, np.conj(P))
+            _, vecs = np.linalg.eigh(M)
+            reps.append(bl._unit_phase(vecs[:, -1]))
+            ws.append(float(w[sel].sum()))
+            diams.append(float(xt._fs_dist_matrix(P, P).max()))
+        order = np.argsort(ws)[::-1]
+        return np.array(reps)[order], np.array(ws)[order], np.array(diams)[order]
+
+    reps, ws, diams = cluster(threshold)
+    reps2, _, _ = cluster(threshold / 2.0)
+    return bl.DirectionCluster(reps, ws, r, threshold, stable=len(reps) == len(reps2),
+                               diameters=diams)
+
+
+def _assert_same_clusters(got, want):
+    assert np.array_equal(got.representatives, want.representatives)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.diameters, want.diameters)
+    assert got.stable is want.stable
+    assert (got.scale, got.threshold) == (want.scale, want.threshold)
+
+
+def _slice_rows(C, r):
+    """The unit complex rows and weights tangent_directions clusters."""
+    S = cur.slice_sphere(C, X0, r)
+    z = xt._complex_rows(S.midpoints())
+    return z / np.linalg.norm(z, axis=1)[:, None], S.lengths() * S.multiplicities / (2 * math.pi * r)
+
+
+@pytest.mark.parametrize("name, r", [("cusp", 0.1), ("cusp", 0.05), ("cusp", 0.025),
+                                     ("lines", 0.5), ("coarse_lines", 0.25),
+                                     ("disk", 0.5), ("graded", 0.4)])
+def test_direction_clusters_match_two_matrix_reference(name, r, cusp, lines, disk,
+                                                        graph_graded):
+    C = {"cusp": cusp, "lines": lines, "coarse_lines": ex.two_lines(h=0.4), "disk": disk,
+         "graded": graph_graded}[name]
+    z, w = _slice_rows(C, r)
+    want = _direction_clusters_reference(z, w, r, 0.1)
+    _assert_same_clusters(bl._direction_clusters(z, w, r, 0.1), want)
+    _assert_same_clusters(bl.tangent_directions(C, X0, r), want)
+
+
+def test_direction_clusters_flag_a_split_at_half_the_threshold():
+    """Two tight groups 0.07 apart in CP^1 are one class at threshold 0.1
+    and two at 0.05: the clustering is not stable."""
+    rng = np.random.default_rng(3)
+    theta = np.concatenate([rng.uniform(0.0, 0.01, 20), rng.uniform(0.16, 0.17, 20)])
+    z = np.column_stack([np.cos(theta / 2), np.sin(theta / 2)]).astype(complex)
+    w = rng.uniform(0.5, 1.5, len(z))
+    got = bl._direction_clusters(z, w, 0.3, 0.1)
+    assert len(got) == 1 and not got.stable
+    _assert_same_clusters(got, _direction_clusters_reference(z, w, 0.3, 0.1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 3]))
+def test_property_direction_clusters_match_two_matrix_reference(seed, n):
+    """On clouds scattered around a few centers of CP^{n-1}, at random
+    thresholds, some of which split a class at half the threshold, one
+    distance matrix gives the reference's representatives, weights,
+    diameters and stability bit for bit."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((rng.integers(1, 5), n, 2)) @ [1, 1j]
+    pick = rng.integers(len(centers), size=rng.integers(1, 80))
+    noise = rng.standard_normal((len(pick), n, 2)) @ [1, 1j]
+    z = centers[pick] + rng.uniform(0.0, 0.3) * noise
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    w = rng.uniform(0.0, 2.0, len(z))
+    threshold = rng.uniform(0.02, 0.5)
+    _assert_same_clusters(bl._direction_clusters(z, w, 0.5, threshold),
+                          _direction_clusters_reference(z, w, 0.5, threshold))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 3]))
 def test_property_direction_phase(seed, n):

@@ -1477,3 +1477,74 @@ def test_property_classify_is_conservative(seed, kind, scale):
     inn = R.indicator(pts)
     assert not np.any(inn[out])
     assert np.all(inn[inside])
+
+
+def _ladder_case(rng, shipped, mesh):
+    """A current, a center and 1-6 radii: unsorted, one of them repeated,
+    and sometimes one too small for any triangle to lie inside. `dilated`
+    is a blow-up with clip radius 1 whose radii beyond 1, or whose
+    off-origin center, make its balls intersections."""
+    if mesh == "dilated":
+        base = shipped[rng.choice(["cusp", "two_lines", "disk"])]
+        C = cur.dilate(base, np.zeros(4), rng.uniform(0.2, 0.5))
+        center = np.zeros(4) if rng.integers(2) else 0.2 * rng.standard_normal(4)
+        radii = rng.uniform(0.2, 1.6, rng.integers(1, 6))
+    else:
+        C = shipped[mesh]
+        where = rng.integers(3)
+        if where == 0:
+            center = np.zeros(4)
+        else:  # near a vertex or a centroid, nudged off the surface
+            near = C.vertices if where == 1 else C.centroids
+            center = near[rng.integers(len(near))] + 1e-3 * rng.standard_normal(4)
+        extent = np.linalg.norm(C.vertices - center, axis=1).max()
+        radii = extent * rng.uniform(0.02, 0.8, rng.integers(1, 6))
+    radii = np.append(radii, radii[rng.integers(len(radii))])
+    if rng.integers(2):
+        far = np.linalg.norm(C.corners() - center, axis=2).max(axis=1)
+        radii = np.append(radii, 0.5 * far.min())  # no triangle inside
+    return C, center, rng.permutation(radii)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(["cusp", "cusp_fine", "disk", "graph", "two_lines", "graded",
+                     "dilated"]),
+    st.sampled_from(["blowup", "smooth"]),
+)
+def test_property_integrate_ladder_matches_integrate(shipped, seed, mesh, integrand):
+    """integrate_ladder gives `integrate` ball by ball, bit for bit, and
+    where every ball stays a ball it evaluates the 7-point rule once: the
+    coarse and the four children's calls of fn, over all balls at once."""
+    from curlab import blowup as bl
+
+    rng = np.random.default_rng(seed)
+    C, center, radii = _ladder_case(rng, shipped, mesh)
+    if integrand == "blowup":
+        fn = bl.gradient_energy_density(C, center)
+    else:
+        a = rng.standard_normal(C.m)
+        b = rng.standard_normal(len(xt.blades(C.m, 2)))
+
+        def fn(p, t):
+            # coordinate by coordinate: a matrix-vector product such as
+            # `t @ b` rounds a one-row call differently
+            pa = sum(p[..., i] * a[i] for i in range(len(a)))
+            tb = sum(t[:, i] * b[i] for i in range(len(b)))
+            return np.cos(pa) + (tb**2)[:, None] - 0.5
+
+    calls = []
+
+    def counted(p, t):
+        calls.append(p.shape[1])
+        return fn(p, t)
+
+    got = cur.integrate_ladder(C, counted, center, radii)
+    want = [cur.integrate(C, fn, cur.Region.ball(center, r)) for r in radii]
+    assert got.shape == radii.shape and np.all(np.isfinite(got))
+    assert np.array_equal(got, want)
+    plain = all(cur._effective_region(C, cur.Region.ball(center, r)).kind == "ball"
+                for r in radii)
+    if plain:
+        assert calls.count(7) in (0, 5)
