@@ -223,7 +223,9 @@ def _frame_gram(rel, e, f):
     Re(<u, v>|x|^2 - <u, x><x, v>) / |x|^4 for the Hermitian product <,>,
     in real arithmetic: with J multiplication by i, that real part is
     (u.v |x|^2 - (u.x)(v.x) - (Ju.x)(Jv.x)) / |x|^4, so each point needs
-    only its products with e, Je, f and Jf.
+    only its products with e, Je, f and Jf. |x|^2 and |x|^4 are each
+    clamped at 1e-300, so the entries stay finite at and near x = 0 (where
+    they are <u, v>), and keep their bits wherever |x|^4 >= 1e-300.
     """
     n2 = np.maximum(np.einsum("lqi,lqi->lq", rel, rel), 1e-300)
     frame = np.stack([e, _times_i(e), f, _times_i(f)], axis=2)  # (L, m, 4)
@@ -231,7 +233,7 @@ def _frame_gram(rel, e, f):
     ee, ff, ef = (
         np.einsum("li,li->l", u, v)[:, None] for u, v in ((e, e), (f, f), (e, f))
     )
-    n4 = n2 * n2
+    n4 = np.maximum(n2 * n2, 1e-300)  # n2 * n2 alone underflows to 0
     return (
         (ee * n2 - a * a - ja * ja) / n4,
         (ff * n2 - b * b - jb * jb) / n4,

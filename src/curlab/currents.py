@@ -186,7 +186,11 @@ class Polyline1Current:
 class Region:
     """A restriction region: full space, ball, annulus, coordinate cylinder,
     the complement of an epsilon-cone around a union of 2-planes, or an
-    intersection of the above."""
+    intersection of the above.
+
+    `indicator` is the one membership test of points. Which triangles a
+    ball, annulus or cylinder holds, misses or crosses is decided apart
+    from it, once per triangle, by `_near_far`."""
 
     kind: str
     center: np.ndarray | None = None
@@ -255,72 +259,26 @@ class Region:
         return Region("intersect", parts=tuple(flat))
 
     def indicator(self, x: np.ndarray) -> np.ndarray:
-        """Boolean membership for points, shape (..., m)."""
-        return self._members(self._part_values(np.asarray(x, dtype=float)))
-
-    def _basic_parts(self) -> tuple:
-        return self.parts if self.kind == "intersect" else (self,)
-
-    def _part_values(self, x: np.ndarray) -> np.ndarray:
-        """Per basic part, the number its membership of points x (..., m)
-        is decided on, stacked as (..., P): the distance to the center for
-        balls and annuli, to the axis for cylinders,
-        dist(x, planes) - eps |x - center| for cone complements, and 0 for
-        full space."""
-        vals = [p._value(x) for p in self._basic_parts()]
-        return vals[0][..., None] if len(vals) == 1 else np.stack(vals, axis=-1)
-
-    def _members(self, vals: np.ndarray) -> np.ndarray:
-        """Membership from `_part_values`: inside every part."""
-        parts = self._basic_parts()
-        out = parts[0]._member(vals[..., 0])
-        for k in range(1, len(parts)):
-            out &= parts[k]._member(vals[..., k])
-        return out
-
-    def _classify(self, vals: np.ndarray, ell: np.ndarray):
-        """Which triangles lie surely outside R, and which surely inside.
-
-        vals (n, 3, P) are the `_part_values` of the corners and ell (n,)
-        bounds the longest edges. For the corner distances d_i to the
-        center (or axis) c of a ball, annulus or cylinder part, every point
-        p of a triangle has max d_i - ell <= |p - c| <= max d_i. Both bounds
-        are widened by 1e-12 (|c| + max d_i + ell), far above the rounding
-        of the distances, of the edges and of points computed from the
-        corners, so a triangle called outside (inside) has `indicator`
-        false (true) at every point computed from its corners, its
-        quadrature points among them. A triangle is outside R when it is
-        outside one part, and inside when it is inside every part; a cone
-        complement calls no triangle either. Returns (out, inside), boolean
-        (n,).
-        """
-        out = np.zeros(len(ell), dtype=bool)
-        inside = np.ones(len(ell), dtype=bool)
-        for k, part in enumerate(self._basic_parts()):
-            if part.kind == "full":
-                continue
-            if part.kind == "cone_complement":
-                inside[:] = False
-                continue
-            dmax = vals[:, :, k].max(axis=1)
-            tol = _CLASSIFY_TOL * (np.linalg.norm(part.center) + dmax + ell)
-            low, high = dmax - ell - tol, dmax + tol  # bounds of |p - c|
-            if part.kind == "annulus":
-                out |= (low > part.outer) | (high <= part.inner)
-                inside &= (low > part.inner) & (high <= part.outer)
-            else:
-                out |= low > part.radius
-                inside &= high <= part.radius
-        return out, inside
-
-    def _value(self, x: np.ndarray) -> np.ndarray:
+        """Boolean membership for points, shape (..., m): for a ball, an
+        annulus or a cylinder, by the distance to the center or the axis
+        (`_distances`); for a cone complement, dist(x, planes) >
+        eps |x - center|; for an intersection, inside every part."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "full":
-            return np.zeros(x.shape[:-1])
-        if self.kind in ("ball", "annulus"):
-            return _distances(x, self.center)
+            return np.ones(x.shape[:-1], dtype=bool)
+        if self.kind == "intersect":
+            out = self.parts[0].indicator(x)
+            for part in self.parts[1:]:
+                out &= part.indicator(x)
+            return out
+        if self.kind == "ball":
+            return _distances(x, self.center) <= self.radius
+        if self.kind == "annulus":
+            d = _distances(x, self.center)
+            return (d > self.inner) & (d <= self.outer)
         if self.kind == "cylinder":
             axes = list(self.axes)
-            return _distances(x[..., axes], self.center[axes])
+            return _distances(x[..., axes], self.center[axes]) <= self.radius
         if self.kind == "cone_complement":
             rel = x - self.center
             r = np.linalg.norm(rel, axis=-1)
@@ -333,23 +291,8 @@ class Region:
                     0.0,
                 )
                 dmin = np.minimum(dmin, np.sqrt(d2))
-            # positive exactly where dmin > eps * r: a rounded difference of
-            # two finite doubles has the sign of their exact difference
-            return dmin - self.eps * r
+            return dmin > self.eps * r
         raise ValueError(f"unknown region kind {self.kind!r}")
-
-    def _member(self, v: np.ndarray) -> np.ndarray:
-        if self.kind == "full":
-            return np.ones(v.shape, dtype=bool)
-        if self.kind == "annulus":
-            return (v > self.inner) & (v <= self.outer)
-        if self.kind == "cone_complement":
-            return v > 0.0
-        return v <= self.radius
-
-
-# relative widening of the classifier's distance bounds (Region._classify)
-_CLASSIFY_TOL = 1e-12
 
 
 def _distances(x, center):
@@ -415,19 +358,27 @@ def _ball_clip(C: TriCurrent, V, idx, r: float) -> np.ndarray:
     return out
 
 
+def _projected_areas(C: TriCurrent, v, idx):
+    """Signed areas of the projections v (k, 3, 2) of triangles idx to a
+    coordinate plane, and which projections are edge-on: below 1e-12 of
+    the triangle's area, too thin for a share of their area or a closest
+    point in the plane to be trusted."""
+    signed2 = 0.5 * (
+        (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
+        - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
+    )
+    return signed2, np.abs(signed2) < 1e-12 * np.maximum(C.areas[idx], 1e-12)
+
+
 def _cylinder_clip(C: TriCurrent, P2, idx, r: float) -> np.ndarray:
     """Exact areas inside the cylinder of radius r of triangles idx, with
     the vertices P2 projected to its plane relative to its axis: the share
     of each projection inside the disk, times the triangle's area."""
     v = P2[C.triangles[idx]]
-    signed2 = 0.5 * (
-        (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
-        - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
-    )
+    signed2, edge_on = _projected_areas(C, v, idx)
     areas = C.areas[idx]
-    # a degenerate projection: the cylinder wall crosses an edge-on
-    # triangle, which counts whole or not at all by its centroid
-    edge_on = np.abs(signed2) < 1e-12 * np.maximum(areas, 1e-12)
+    # the cylinder wall crosses an edge-on triangle, which counts whole or
+    # not at all by its centroid
     vote = np.where(np.linalg.norm(v.mean(axis=1), axis=1) <= r, areas, 0.0)
     clipped = np.abs(tri_disk_areas(v, r))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -435,41 +386,77 @@ def _cylinder_clip(C: TriCurrent, P2, idx, r: float) -> np.ndarray:
     return np.where(edge_on, vote, areas * share)
 
 
-def _clip_sweep(C: TriCurrent, center, radii, axes=None):
-    """Exact per-triangle areas inside the balls B_r(center), or inside the
-    coordinate cylinders of radius r over the plane `axes`, for each r in
-    radii: a generator of one length-T array per radius, in order.
+# relative widening of the lower bound of a triangle's distance (`_near_far`)
+_NEAR_TOL = 1e-12
 
-    What does not depend on the radius is computed once: the vertex
-    distances to the center (projected to the `axes` plane for cylinders)
-    gathered per triangle, each triangle's nearest and farthest, and its
-    reach past its nearest vertex (the longest edge, projected for
-    cylinders). Per radius, a triangle whose farthest vertex lies within r
-    counts whole, one whose nearest vertex lies within r plus its reach is
-    clipped exactly, and the others count 0.
+
+def _near_far(C: TriCurrent, center, radii, axes=None):
+    """The one test of where the spheres |x - center| = r, for r in radii,
+    cross the triangles; for the cylinders over the coordinate plane
+    `axes`, where the circles about the axis cross the triangles'
+    projections to that plane.
+
+    Returns near and far, each (T,): far is the distance of a triangle's
+    farthest vertex from the center (or the axis) and near that of its
+    closest point, so a sphere of radius r holds the triangle inside when
+    far <= r, misses it when near > r, and crosses it otherwise. Every
+    point of a triangle lies within its longest edge (projected, for
+    cylinders) of the farthest vertex, so low = far - edge, lowered by
+    1e-12 of |center| + far + edge against rounding, bounds near from
+    below. The closest point (`_closest_points_on_triangles`, relative to
+    the center) is computed only for triangles with some radius in
+    [low, far); the others keep near = low, which decides every radius as
+    the closest point would. An edge-on projection (`_projected_areas`)
+    keeps low too, so the radii in [low, far) call it crossed and
+    `_cylinder_clip` gives it its centroid vote.
     """
     center = np.asarray(center, dtype=float)
     T = C.triangles
     V = C.vertices - center
     if axes is None:
-        d = np.linalg.norm(V, axis=1)[T]
         reach = C.longest_edges
-        clip, coords = _ball_clip, V
     else:
-        P2 = V[:, list(axes)]  # projected vertices
-        d = np.linalg.norm(P2, axis=1)[T]
-        x, y = P2[:, 0][T], P2[:, 1][T]
+        V = V[:, list(axes)]  # projected vertices
+        x, y = V[:, 0][T], V[:, 1][T]
         dx, dy = x - x[:, [2, 0, 1]], y - y[:, [2, 0, 1]]
         sq = dx * dx + dy * dy  # squared projected edge lengths
         reach = np.sqrt(np.maximum(np.maximum(sq[:, 0], sq[:, 1]), sq[:, 2]))
-        clip, coords = _cylinder_clip, P2
-    dmin = np.minimum(np.minimum(d[:, 0], d[:, 1]), d[:, 2])
-    dmax = np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2])
+    d = np.linalg.norm(V, axis=1)[T]
+    far = np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2])
+    near = far - reach
+    near -= _NEAR_TOL * (np.linalg.norm(center) + far + reach)
+    radii = np.sort(radii)
+    todo = np.nonzero(np.searchsorted(radii, far) > np.searchsorted(radii, near))[0]
+    crn = V[T[todo]]
+    if axes is not None:
+        keep = ~_projected_areas(C, crn, todo)[1]
+        todo, crn = todo[keep], crn[keep]
+    if len(todo):
+        q, _ = _closest_points_on_triangles(0.0, crn[:, 0], crn[:, 1], crn[:, 2])
+        near[todo] = np.sqrt(_dot(q, q))
+    return near, far
+
+
+def _clip_sweep(C: TriCurrent, center, radii, axes=None):
+    """Exact per-triangle areas inside the balls B_r(center), or inside the
+    coordinate cylinders of radius r over the plane `axes`, for each r in
+    radii: a generator of one length-T array per radius, in order.
+
+    `_near_far` sorts the triangles once for all the radii. Per radius, a
+    triangle it calls inside counts whole, one it calls crossed is clipped
+    exactly, and one it calls missed counts 0.
+    """
+    center = np.asarray(center, dtype=float)
+    near, far = _near_far(C, center, radii, axes)
+    V = C.vertices - center
+    if axes is None:
+        clip, coords = _ball_clip, V
+    else:
+        clip, coords = _cylinder_clip, V[:, list(axes)]
     for r in radii:
-        inside = dmax <= r
+        inside = far <= r
         out = np.where(inside, C.areas, 0.0)
-        # cheap reject: the nearest vertex farther than r plus the reach
-        idx = np.nonzero(~inside & (dmin < r + reach))[0]
+        idx = np.nonzero(~inside & (near <= r))[0]
         if len(idx):
             out[idx] = clip(C, coords, idx, r)
         yield out
@@ -892,7 +879,11 @@ def _shell_integrals(C: TriCurrent, fn, regions) -> list:
     annuli about one center, as `integrate` describes them, with the
     interior quadrature evaluated once.
 
-    Each region sorts the triangles into inside, outside and boundary. fn
+    One `_near_far` over all the regions' radii sorts the triangles: a
+    triangle lies inside a region when its farthest vertex is in the
+    (outer) ball and, for an annulus, its closest point outside the hole;
+    it lies outside when its closest point is outside the ball or its
+    farthest vertex inside the hole; it meets the boundary otherwise. fn
     is evaluated once at the quadrature points of the triangles inside any
     of the regions and of their children (`_quad_values`); each region
     takes its own inside triangles' values, in triangle order, applies the
@@ -901,25 +892,17 @@ def _shell_integrals(C: TriCurrent, fn, regions) -> list:
     each value is the same, bit for bit, as that of a one-region call.
     """
     center = regions[0].center
-    corners = C.corners()
-    corner_vals = _distances(corners, center)[..., None]  # the `_part_values`
-    far = corner_vals[:, :, 0].max(axis=1)
-    classes = [R._classify(corner_vals, C.longest_edges) for R in regions]
-    # the closest point and the farthest vertex decide the rest exactly
-    todo = np.nonzero(np.logical_or.reduce([~(out | inside) for out, inside in classes]))[0]
-    crn = corners[todo]
-    q, _ = _closest_points_on_triangles(center, crn[:, 0], crn[:, 1], crn[:, 2])
-    near = np.empty(len(C))
-    near[todo] = _distances(q, center)
+    bounds = [(R.inner, R.outer) if R.kind == "annulus" else (0.0, R.radius)
+              for R in regions]
+    near, far = _near_far(C, center, [r for b in bounds for r in b if r > 0.0])
     shells = []
-    for R, (out, inside) in zip(regions, classes):
-        hole, ball = (R.inner, R.outer) if R.kind == "annulus" else (0.0, R.radius)
-        t = np.nonzero(~(out | inside))[0]
-        inside[t] = (far[t] <= ball) & ((near[t] > hole) | (hole == 0.0))
-        out[t] = (near[t] > ball) | (far[t] <= hole)
+    for hole, ball in bounds:
+        inside = (far <= ball) & ((near > hole) | (hole == 0.0))
+        out = (near > ball) | (far <= hole)
         shells.append((inside, np.nonzero(~(out | inside))[0], hole, ball))
     union = np.nonzero(np.logical_or.reduce([sh[0] for sh in shells]))[0]
-    vals = _quad_values(corners[union], C.tangents[union], fn) if len(union) else []
+    vals = (_quad_values(C.vertices[C.triangles[union]], C.tangents[union], fn)
+            if len(union) else [])
     totals = []
     for inside, meets, hole, ball in shells:
         sel = inside[union]
@@ -943,14 +926,10 @@ def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
     order-7 quadrature with one adaptive refinement pass
     (`_quad_integrate`, k = 7).
 
-    For a ball or an annulus, a triangle lies inside when its farthest
-    vertex is in the (outer) ball and, for an annulus, its closest point
-    lies outside the hole; it lies outside when its closest point is
-    outside the ball or its farthest vertex inside the hole; corner
-    distances and edge lengths decide most triangles (`Region._classify`),
-    and closest points the rest. A triangle that meets the region's
-    boundary is integrated on its exact planar section by a polar
-    Gauss-Legendre rule (`_section_integrate`, one group of
+    For a ball or an annulus, `_near_far` sorts the triangles into inside,
+    outside and boundary (see `_shell_integrals`). A triangle that meets
+    the region's boundary is integrated on its exact planar section by a
+    polar Gauss-Legendre rule (`_section_integrate`, one group of
     k = n_theta * n_rho nodes per sub-wedge), so these integrals have
     quadrature error only and `integrate(C, 1, R)` is the clipped mass to
     rounding. A ball or an annulus is the one-region case of
@@ -959,14 +938,11 @@ def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
     Cylinders, cone complements and intersections, which no pipeline
     integrates over, keep midpoint subdivision: a triangle with a vertex
     outside R is split into its four midpoint children, level by level
-    (`_subdivide`), until a sub-triangle has all vertices inside, no vertex
-    inside, or sits at depth 5. Each such leaf gets the 7-point rule masked
-    by membership of the quadrature points (k = 7), and fn is not called on
-    a leaf with no quadrature point inside. The corners' part values
-    (`Region._part_values`) are carried down the subdivision, and leaves
-    that `Region._classify` calls outside R are dropped before their
-    quadrature points are built, those it calls inside skip the
-    quadrature-point test.
+    (`_subdivide`, which carries the corners' membership down), until a
+    sub-triangle has all vertices inside, no vertex inside, or sits at
+    depth 5. Each such leaf gets the 7-point rule masked by membership of
+    its quadrature points (k = 7), and fn is not called on a leaf with no
+    quadrature point inside.
     """
     R = _effective_region(C, R)
     if R.kind in ("ball", "annulus"):
@@ -974,9 +950,8 @@ def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
     corners = C.corners()
     if R.kind == "full":
         return _quad_integrate(corners, C.tangents, C.areas, C.multiplicities, fn)
-    corner_vals = R._part_values(corners)
-    out, inside = R._classify(corner_vals, C.longest_edges)
-    all_in = np.all(R._members(corner_vals), axis=1)
+    verts_in = R.indicator(corners)
+    all_in = np.all(verts_in, axis=1)
     acc = _quad_integrate(
         corners[all_in],
         C.tangents[all_in],
@@ -985,27 +960,21 @@ def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
         fn,
     )
 
-    def is_leaf(depth, tri, val, area):
-        inn = R._members(val)
+    def is_leaf(depth, tri, inn, area):
         done = (
             np.all(inn, axis=1)
             | ~np.any(inn, axis=1)
             | (depth == _INTEGRATE_MAX_DEPTH)
         )
-        return done, (np.full(len(tri), depth),)
+        return done, ()
 
-    owner = np.nonzero(~(all_in | out))[0]
-    tri, val, owner, area, _, depth = _subdivide(
-        corners[owner], corner_vals[owner], owner, C.areas[owner], R._part_values,
+    owner = np.nonzero(~all_in)[0]
+    tri, _, owner, area, _ = _subdivide(
+        corners[owner], verts_in[owner], owner, C.areas[owner], R.indicator,
         is_leaf,
     )
-    # a leaf's edges are its owner's, halved at each depth
-    out, inside = R._classify(val, np.ldexp(C.longest_edges[owner], -depth))
-    keep = ~out
-    tri, owner, area, test = tri[keep], owner[keep], area[keep], ~inside[keep]
     pts = _quad_points(tri)
-    inn = np.ones(pts.shape[:2], dtype=bool)
-    inn[test] = R.indicator(pts[test])
+    inn = R.indicator(pts)
     hit = np.any(inn, axis=1)
     if not np.any(hit):
         return acc
@@ -1224,7 +1193,8 @@ def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
     and the result's `owners` names the triangle each chord lies on.
 
     A (sub-)triangle meets the sphere when its closest point to x0 lies
-    inside the ball and a vertex lies outside. The triangles that meet it go
+    inside the ball and a vertex lies outside. The triangles that
+    `_near_far` calls crossed, which hold every triangle that meets it, go
     through `_subdivide`, which carries the distances of the corners to x0
     down to the children: a sub-triangle that meets it retires once its
     edges cross the sphere an even, nonzero number of times, and is split
@@ -1238,11 +1208,11 @@ def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
         raise ValueError("slice radius must be positive")
     x0 = np.asarray(x0, dtype=float)
     rho = _regular_slice_radius(C, x0, rho)
-    corners = C.corners() - x0
-    d = _distances(corners, 0.0)
-    # the nearest vertex is within the longest edge of the closest point
-    near = d.min(axis=1) < rho + C.longest_edges
-    cand = np.nonzero(near & (d.max(axis=1) > rho))[0]
+    near, far = _near_far(C, x0, [rho])
+    # near is sqrt(q . q) for the rule's own q, so near <= rho wherever
+    # q . q < rho^2
+    cand = np.nonzero((near <= rho) & (far > rho))[0]
+    corners = C.vertices[C.triangles[cand]] - x0
 
     def rule(depth, tri, d, area):
         q, _ = _closest_points_on_triangles(0.0, tri[:, 0], tri[:, 1], tri[:, 2])
@@ -1255,7 +1225,7 @@ def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
         return done, (pos, pts, leaving, count, paired, meets & ~paired)
 
     _, _, owner, _, path, pos, pts, leaving, count, paired, unpaired = _subdivide(
-        corners[cand], d[cand], cand, C.areas[cand],
+        corners, _distances(corners, 0.0), cand, C.areas[cand],
         lambda p: _distances(p, 0.0), rule,
     )
     dropped = int(np.sum(unpaired))

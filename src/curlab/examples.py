@@ -51,9 +51,12 @@ def param_disk(radii, n_theta: int):
     return points, np.concatenate([fan, quads]).astype(int)
 
 
-def _uniform_radii(rmax: float, h: float) -> np.ndarray:
+def _uniform_disk(rmax: float, h: float):
+    """param_disk with rings and ring slots about h apart: at least 3 rings
+    and 16 slots."""
     n = max(3, round(rmax / h))
-    return rmax * (np.arange(1, n + 1) / n)
+    n_theta = max(16, round(2 * np.pi * rmax / h))
+    return param_disk(rmax * (np.arange(1, n + 1) / n), n_theta)
 
 
 def _graded_radii(rmax: float, factor: float, rmin: float) -> np.ndarray:
@@ -72,8 +75,7 @@ def _push(points2d, tris, f, mult: int = 1) -> TriCurrent:
 
 def flat_disk(h: float = 0.05, multiplicity: int = 1, rmax: float = 1.0) -> TriCurrent:
     """Flat unit disk in the first complex coordinate plane of R^4."""
-    n_theta = max(16, round(2 * np.pi * rmax / h))
-    pts, tris = param_disk(_uniform_radii(rmax, h), n_theta)
+    pts, tris = _uniform_disk(rmax, h)
     return _push(pts, tris, lambda z: (z, np.zeros_like(z)), multiplicity)
 
 
@@ -93,8 +95,7 @@ def holomorphic_graph(
     if graded:
         pts, tris = param_disk(_graded_radii(rmax, factor, rho_min), 64)
     else:
-        n_theta = max(16, round(2 * np.pi * rmax / h))
-        pts, tris = param_disk(_uniform_radii(rmax, h), n_theta)
+        pts, tris = _uniform_disk(rmax, h)
     return _push(pts, tris, lambda z: (z, z**k))
 
 
@@ -111,15 +112,13 @@ def cusp(
 
 def nonholo_graph(h: float = 0.02, rmax: float = 1.0) -> TriCurrent:
     """Graph of the non-holomorphic map z -> (z, conj(z)^2 / 4)."""
-    n_theta = max(16, round(2 * np.pi * rmax / h))
-    pts, tris = param_disk(_uniform_radii(rmax, h), n_theta)
+    pts, tris = _uniform_disk(rmax, h)
     return _push(pts, tris, lambda z: (z, np.conj(z) ** 2 / 4.0))
 
 
 def two_lines(h: float = 0.02, rmax: float = 1.0) -> TriCurrent:
     """Union of the two orthogonal complex lines {z2 = 0} and {z1 = 0}."""
-    n_theta = max(16, round(2 * np.pi * rmax / h))
-    pts, tris = param_disk(_uniform_radii(rmax, h), n_theta)
+    pts, tris = _uniform_disk(rmax, h)
     z = pts[:, 0] + 1j * pts[:, 1]
     zero = np.zeros_like(z)
     v1 = np.column_stack([z.real, z.imag, zero.real, zero.real])

@@ -15,9 +15,11 @@ Everything here is pure and operates on immutable data.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -63,8 +65,9 @@ def blades(m: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _blade_lookup(m: int, k: int) -> dict:
-    return {b: i for i, b in enumerate(blades(m, k))}
+def _blade_lookup(m: int, k: int) -> Mapping[tuple[int, ...], int]:
+    """Index of each grade-k blade of R^m, read-only: it is cached."""
+    return MappingProxyType({b: i for i, b in enumerate(blades(m, k))})
 
 
 def blade_index(m: int, idx: tuple[int, ...]) -> int:
@@ -73,10 +76,12 @@ def blade_index(m: int, idx: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def pairs2(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j), i < j, of the grade-2 blade basis."""
+    """Index arrays (i, j), i < j, of the grade-2 blade basis, read-only:
+    they are cached."""
     bl = blades(m, 2)
     i = np.array([b[0] for b in bl])
     j = np.array([b[1] for b in bl])
+    i.flags.writeable = j.flags.writeable = False
     return i, j
 
 
@@ -274,7 +279,9 @@ def pairing(omega: MultiForm, xi: MultiVector) -> float:
 
 @lru_cache(maxsize=None)
 def _wedge_table(m: int, j: int, k: int):
-    """Sparse multiplication table for grade j ^ grade k in dimension m."""
+    """Sparse multiplication table for grade j ^ grade k in dimension m:
+    read-only arrays (rows of a, rows of b, output rows, signs), since they
+    are cached."""
     out_lookup = _blade_lookup(m, j + k)
     rows_a, rows_b, rows_o, signs = [], [], [], []
     for ia, ba in enumerate(blades(m, j)):
@@ -296,12 +303,15 @@ def _wedge_table(m: int, j: int, k: int):
             rows_b.append(ib)
             rows_o.append(out_lookup[tuple(sorted(merged))])
             signs.append(sign)
-    return (
+    table = (
         np.array(rows_a, dtype=int),
         np.array(rows_b, dtype=int),
         np.array(rows_o, dtype=int),
         np.array(signs, dtype=float),
     )
+    for col in table:
+        col.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)

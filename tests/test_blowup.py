@@ -166,6 +166,43 @@ def _projection_gram(rel, e1, e2):
     return G(u1, u1).real, G(u2, u2).real, G(u1, u2).real
 
 
+def test_frame_gram_is_finite_at_the_center(cusp):
+    """At x = x0 the densities are finite and raise no floating-point
+    warning (tier-1 turns curlab's RuntimeWarnings into errors); at
+    |x - x0|^4 >= 1e-300 the gram keeps the unclamped quotient's bits."""
+    x0 = cusp.centroids[5]
+    e, f = xt.plane_frames(cusp.tangents[[5]], 4)
+    rel = np.zeros((1, 3, 4))
+    rel[0, 1, 0] = 2e-75
+    rel[0, 2] = [1e-3, -2e-3, 5e-4, 1e-3]
+    g11, g22, g12 = bl._frame_gram(rel, e, f)
+    for g in (g11, g22, g12):
+        assert np.all(np.isfinite(g))
+    assert g11[0, 0] == pytest.approx(1.0) and g22[0, 0] == pytest.approx(1.0)
+    # the unclamped quotient, with the products taken as _frame_gram takes them
+    n2 = np.einsum("lqi,lqi->lq", rel[:, 1:], rel[:, 1:])
+    frame = np.stack([e, bl._times_i(e), f, bl._times_i(f)], axis=2)
+    a, ja, _, _ = np.moveaxis(rel[:, 1:] @ frame, 2, 0)
+    ee = np.einsum("li,li->l", e, e)[:, None]
+    assert np.array_equal(g11[:, 1:], (ee * n2 - a * a - ja * ja) / (n2 * n2))
+    assert np.all(np.isfinite(np.sqrt(np.maximum(g11 * g22 - g12**2, 0.0))))  # Hopf
+    pts = x0[None, None, :] + rel
+    density = bl.gradient_energy_density(cusp, x0)(pts, cusp.tangents[[5]])
+    assert np.all(np.isfinite(density))
+
+
+def test_energy_over_a_ball_centered_on_a_quadrature_point(cusp):
+    """A ball centered on a triangle's centroid, where that centroid is
+    its first quadrature point to the bit, has a finite energy."""
+    q0 = cur._quad_points(cusp.corners())[:, 0]
+    k = int(np.nonzero(np.all(q0 == cusp.centroids, axis=1))[0][0])
+    x0 = cusp.centroids[k]
+    r = 4.0 * float(cusp.longest_edges[k])  # the triangle lies inside
+    energy = cur.integrate(cusp, bl.gradient_energy_density(cusp, x0),
+                           cur.Region.ball(x0, r))
+    assert np.isfinite(energy) and energy > 0.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([4, 6]))
 def test_property_plane_frames(cusp, seed, m):

@@ -940,20 +940,32 @@ def test_property_tri_disk_areas_matches_reference(seed, kind, flip):
         assert np.allclose(got, signed, rtol=1e-12, atol=1e-15)
 
 
+def _near_far_reference(C, center, axes=None):
+    """Distances from the center (from the axis, in the `axes` plane, for a
+    cylinder) of every triangle's closest point and farthest vertex: the
+    closest point of every triangle, with no bound to skip any."""
+    V = C.vertices - np.asarray(center, dtype=float)
+    if axes is not None:
+        V = V[:, list(axes)]
+    crn = V[C.triangles]
+    q, _ = cur._closest_points_on_triangles(0.0, crn[:, 0], crn[:, 1], crn[:, 2])
+    near = np.sqrt(np.einsum("...i,...i->...", q, q))
+    return near, np.linalg.norm(crn, axis=2).max(axis=1)
+
+
 def _ball_clip_areas_reference(C, center, r):
     """Exact per-triangle area inside the ball B_r(center), one radius at a
-    time: the per-radius form of `cur._clip_sweep` for balls."""
+    time: the per-radius form of `cur._clip_sweep` for balls, on the exact
+    rule (inside when the farthest vertex is within r, clipped when the
+    closest point is)."""
     center = np.asarray(center, dtype=float)
     V = C.vertices - center
     T = C.triangles
-    vd = np.linalg.norm(V, axis=1)
-    d = vd[T]  # (T, 3) vertex distances
+    near, far = _near_far_reference(C, center)
     out = np.zeros(len(T))
-    inside = np.all(d <= r, axis=1)
+    inside = far <= r
     out[inside] = C.areas[inside]
-    # cheap reject: min vertex distance minus the longest edge
-    candidate = ~inside & (d.min(axis=1) < r + C.longest_edges)
-    idx = np.nonzero(candidate)[0]
+    idx = np.nonzero(~inside & (near <= r))[0]
     if len(idx) == 0:
         return out
     u1, u2 = xt.plane_frames(C.tangents[idx], C.m)
@@ -962,9 +974,9 @@ def _ball_clip_areas_reference(C, center, r):
     cx = np.einsum("ij,ij->i", crel, u1)
     cy = np.einsum("ij,ij->i", crel, u2)
     off2 = np.einsum("ij,ij->i", crel, crel) - cx * cx - cy * cy
-    near = off2 < r * r  # the plane meets the ball in a disk of radius rp
-    idx, a, u1, u2, cx, cy = idx[near], a[near], u1[near], u2[near], cx[near], cy[near]
-    rp = np.sqrt(r * r - off2[near])
+    hit = off2 < r * r  # the plane meets the ball in a disk of radius rp
+    idx, a, u1, u2, cx, cy = idx[hit], a[hit], u1[hit], u2[hit], cx[hit], cy[hit]
+    rp = np.sqrt(r * r - off2[hit])
     # triangle vertices in plane coordinates, disk center at origin
     p = V[T[idx]] - a[:, None, :]
     x = np.einsum("nkj,nj->nk", p, u1) - cx[:, None]
@@ -975,19 +987,15 @@ def _ball_clip_areas_reference(C, center, r):
 
 def _cylinder_clip_areas_reference(C, center, r, axes):
     """Exact per-triangle area inside a coordinate cylinder, one radius at a
-    time: the per-radius form of `cur._clip_sweep` for cylinders."""
-    ax = list(axes)
+    time: the per-radius form of `cur._clip_sweep` for cylinders, on the
+    exact rule for the projections."""
     center = np.asarray(center, dtype=float)
-    P2 = (C.vertices - center)[:, ax]  # projected vertices
-    T = C.triangles
-    q = P2[T]  # (T, 3, 2)
-    d = np.linalg.norm(q, axis=2)
-    out = np.zeros(len(T))
-    inside = np.all(d <= r, axis=1)
+    q = (C.vertices - center)[:, list(axes)][C.triangles]  # projected (T, 3, 2)
+    near, far = _near_far_reference(C, center, axes)
+    out = np.zeros(len(q))
+    inside = far <= r
     out[inside] = C.areas[inside]
-    edges = np.linalg.norm(q - q[:, [1, 2, 0], :], axis=2).max(axis=1)
-    candidate = ~inside & (d.min(axis=1) < r + edges)
-    idx = np.nonzero(candidate)[0]
+    idx = np.nonzero(~inside & (near <= r))[0]
     v = q[idx]
     signed2 = 0.5 * (
         (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
@@ -1051,6 +1059,81 @@ def test_property_clip_sweep_matches_per_radius_reference(seed, axes, where):
                            - _ball_clip_areas_reference(C, center, inner)) * mult)
             got = cur.mass(C, cur.Region.annulus(center, inner, outer))
             assert got == float(want)
+
+
+def _segments_distance_reference(v):
+    """Distance from the origin of the union of the three edges of each
+    projected triangle v (n, 3, 2): the closest point of a triangle whose
+    projection is edge-on."""
+    a, e = v, v[:, [1, 2, 0]] - v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(-np.einsum("nkj,nkj->nk", a, e) / np.einsum("nkj,nkj->nk", e, e),
+                    0.0, 1.0)
+    t = np.where(np.isfinite(t), t, 0.0)
+    return np.linalg.norm(a + t[..., None] * e, axis=2).min(axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([None, (0, 1), (2, 3)]),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_property_near_far_matches_closest_point_reference(seed, axes, scale):
+    """`_near_far` decides every radius as the closest point of every
+    triangle does: inside when the farthest vertex is within r, missed when
+    the closest point is farther than r, crossed otherwise. Radii include
+    vertex distances, closest-point distances, the bound far - edge and
+    repeats. A triangle whose projection is edge-on is never called missed
+    by a circle that crosses its projection, and its near is finite."""
+    rng = np.random.default_rng(seed)
+    m = 4
+    n = int(rng.integers(2, 13))
+    pts = rng.standard_normal((10, m))
+    tris = np.array([rng.choice(10, 3, replace=False) for _ in range(n)])
+    center = 0.5 * rng.standard_normal(m)
+    if rng.integers(4) == 0:  # far from every triangle
+        center += 20.0 * rng.standard_normal(m)
+    if axes is not None:
+        ax = list(axes)
+        # the first triangle's projection is edge-on: its third corner is
+        # projected onto the line of the other two, or onto the first
+        i, j, k = tris[0]
+        t = rng.choice([0.0, 0.3, 1.7])
+        pts[k, ax] = pts[i, ax] + t * (pts[j, ax] - pts[i, ax])
+        if rng.integers(2):  # and its first corner lies on the axis
+            pts[[i, j, k], ax[0]] -= pts[i, ax[0]] - center[ax[0]]
+            pts[[i, j, k], ax[1]] -= pts[i, ax[1]] - center[ax[1]]
+    C = cur.TriCurrent(scale * pts, tris, np.ones(n, dtype=int))
+    center = scale * center
+    near_ref, far_ref = _near_far_reference(C, center, axes)
+    V = C.vertices - center
+    if axes is not None:
+        V = V[:, list(axes)]
+    crn = V[C.triangles]
+    reach = np.linalg.norm(crn - crn[:, [1, 2, 0]], axis=2).max(axis=1)
+    pick = rng.integers(n, size=3)
+    radii = np.concatenate([
+        scale * rng.uniform(0.05, 3.0, 4),
+        np.linalg.norm(crn[pick, rng.integers(3, size=3)], axis=1),  # vertices
+        far_ref[pick], near_ref[pick], (far_ref - reach)[pick],
+    ])
+    radii = radii[radii > 0.0]
+    radii = np.concatenate([radii, radii[:2]])
+    rng.shuffle(radii)
+    near, far = cur._near_far(C, center, radii, axes)
+    assert np.array_equal(far, far_ref)
+    assert np.all(np.isfinite(near))
+    edge_on = np.zeros(n, dtype=bool)
+    if axes is not None:
+        edge_on = cur._projected_areas(C, crn, np.arange(n))[1]
+        assert edge_on[0]
+        assert np.all(near[edge_on] <= _segments_distance_reference(crn[edge_on]))
+    for r in radii:
+        inside = far <= r
+        missed = ~inside & (near > r)
+        want = ~inside & (near_ref > r)
+        assert np.array_equal(missed[~edge_on], want[~edge_on])
 
 
 # --- references: level-synchronous forms that test every point they build ---
@@ -1246,12 +1329,6 @@ def test_property_integrate_matches_levelsync_reference(seed, kind, scale):
     assert len(calls["got"]) == len(calls["want"])
     for (p, t), (q, s) in zip(calls["got"], calls["want"]):
         assert np.array_equal(p, q) and np.array_equal(t, s)
-    if kind == "cylinder":
-        # the far triangles are dropped before any point of theirs is built
-        d = R._part_values(C.corners())  # distances to center or axis
-        out, _ = R._classify(d, C.longest_edges)
-        far = np.all(d[..., 0] > 4.0 * scale + C.longest_edges[:, None], axis=1)
-        assert np.all(out[far])
 
 
 def _section_rays_reference(P, theta):
@@ -1406,77 +1483,6 @@ def test_property_subdiv_mass_matches_levelsync_reference(seed, kind, scale,
     C, R = _random_case(rng, kind, scale, n=3)
     assert (cur._subdiv_mass(C, R, rel_tol)
             == _subdiv_mass_levelsync_reference(C, R, rel_tol))
-
-
-def _classify_case(rng, kind, scale):
-    """A region and n = 64 triangles (corners, longest-edge bounds) whose
-    corners lie at a relative radial offset in [-1e-9, 1e-9], down to
-    1e-16, from one of the region's spheres, with edges from 1e-16 to 1
-    of its radius."""
-    m = 4
-    n = 64
-    center = scale * rng.uniform(-100.0, 100.0) * rng.standard_normal(m)
-    r1 = scale * rng.uniform(0.2, 1.0)
-    r2 = r1 * rng.uniform(1.1, 3.0)
-    clip = cur.Region.ball(center + r1 * rng.standard_normal(m), r2)
-    planes = [np.linalg.qr(rng.standard_normal((m, 2)))[0]]
-    R = {
-        "ball": cur.Region.ball(center, r1),
-        "annulus": cur.Region.annulus(center, r1, r2),
-        "cylinder": cur.Region.cylinder(center, r1, (1, 3)),
-        "intersect": cur.Region.intersect(cur.Region.annulus(center, r1, r2),
-                                          clip),
-        "cone_complement": cur.Region.intersect(
-            cur.Region.cone_complement(center, planes, 0.3), clip),
-    }[kind]
-    spheres = [(p.center, rad) for p in R._basic_parts()
-               for rad in (p.radius, p.inner, p.outer) if rad > 0]
-    which = rng.integers(len(spheres), size=n)
-    u = rng.standard_normal((n, m))
-    if kind == "cylinder":
-        u[:, [0, 2]] = 0.0  # the wall's circles lie in the (1, 3) plane
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    offset = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16, -9, n)
-    size = 10.0 ** rng.uniform(-16, 0, n)
-    corners = np.empty((n, 3, m))
-    for k in range(n):
-        c, rad = spheres[which[k]]
-        jitter = rng.standard_normal((3, m)) * rad * size[k]
-        corners[k] = c + rad * (1.0 + offset[k]) * u[k] + jitter
-    if kind == "cylinder":  # anywhere along the free coordinates
-        corners[:, :, [0, 2]] += 100.0 * scale * rng.standard_normal((n, 1, 2))
-    edges = corners - corners[:, [1, 2, 0]]
-    ell = np.sqrt(np.einsum("nkm,nkm->nk", edges, edges).max(axis=1))
-    return R, corners, ell
-
-
-# a dense barycentric sample of a triangle: 231 points
-_BARY = np.array([(i, j, 20 - i - j) for i in range(21) for j in range(21 - i)]) / 20
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.sampled_from(["ball", "annulus", "cylinder", "intersect",
-                     "cone_complement"]),
-    st.sampled_from([1e-3, 1.0, 1e3]),
-)
-def test_property_classify_is_conservative(seed, kind, scale):
-    """A triangle called outside the region has no point inside, neither a
-    quadrature point nor a point of a dense barycentric sample; one called
-    inside has none outside. Corners within 1e-15 of a sphere of the region
-    exercise the rounding margin; regions with a cone complement are never
-    called inside."""
-    rng = np.random.default_rng(seed)
-    R, corners, ell = _classify_case(rng, kind, scale)
-    out, inside = R._classify(R._part_values(corners), ell)
-    assert not np.any(out & inside)
-    if kind == "cone_complement":
-        assert not np.any(inside)
-    pts = np.concatenate([cur._quad_points(corners), _BARY @ corners], axis=1)
-    inn = R.indicator(pts)
-    assert not np.any(inn[out])
-    assert np.all(inn[inside])
 
 
 def _ladder_case(rng, shipped, mesh):

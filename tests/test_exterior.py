@@ -62,6 +62,20 @@ def test_wedge_dimension_mismatch():
                  xt.vector(6, np.eye(6)[0]))
 
 
+def test_cached_index_tables_are_read_only():
+    """The cached blade tables are shared by every caller, so none can be
+    written to."""
+    for m in (2, 4, 6):
+        for arr in xt.pairs2(m) + xt._wedge_table(m, 1, 1) + xt._wedge3_index(m):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        with pytest.raises(TypeError):
+            xt._blade_lookup(m, 2)[(0, 1)] = 7
+    # the tables still give the products
+    e = [xt.MultiVector(4, 1, row) for row in np.eye(4)]
+    assert xt.wedge(e[0], e[1]).coeffs[xt.blade_index(4, (0, 1))] == 1.0
+
+
 def test_contract_basis():
     m = 4
     om = xt.MultiForm(m, 2, np.eye(len(xt.blades(m, 2)))[0])  # dx1^dx2
