@@ -335,8 +335,11 @@ def tangent_directions(C: cur.TriCurrent, x0, r: float,
     linkage at the given angular threshold, each weighted by its length
     and multiplicity over 2 pi r; a rerun at half the threshold flags
     instability instead of hiding it (`_direction_clusters`, which builds
-    one distance matrix for both linkages).
+    one distance matrix for both linkages). The threshold must be a
+    positive finite angle.
     """
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be a positive finite angle, got {threshold}")
     x0 = np.asarray(x0, dtype=float)
     S = cur.slice_sphere(C, x0, r)
     if len(S) == 0:

@@ -63,6 +63,18 @@ def read_config(path) -> dict:
     return out
 
 
+def _finite_float(text: str) -> float:
+    """The type of every float setting: argparse names the flag when it
+    raises, for a config entry as for a command line flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 # One row per setting: config key (its flag is the key with `_` written
 # `-`), default, type, choices, help. The one parser is built from it, and
 # config entries are parsed by it too.
@@ -70,19 +82,19 @@ _SETTINGS = (
     ("example", None, str, None, "built-in example name"),
     ("mesh", None, str, None, "mesh file (dim/vertex/tri lines)"),
     ("out", ".", str, None, "output directory (default .)"),
-    ("h", None, float, None, "mesh refinement parameter"),
+    ("h", None, _finite_float, None, "mesh refinement parameter"),
     ("seed", 0, int, None, "seed echoed into outputs"),
     ("center", "0,0,0,0", str, None, "comma-separated center coordinates"),
-    ("r_max", 0.8, float, None, "outermost ladder radius"),
+    ("r_max", 0.8, _finite_float, None, "outermost ladder radius"),
     ("n", 8, int, None, "number of ladder radii"),
-    ("q", 0.7, float, None, "ladder ratio in (0,1)"),
+    ("q", 0.7, _finite_float, None, "ladder ratio in (0,1)"),
     ("gauge", "ball", str, ("ball", "cylinder"),
      "ambient ball or graph parameter cylinder"),
-    ("delta", 0.05, float, None, "tube radius for defect"),
-    ("threshold", 0.1, float, None, "angular clustering threshold"),
-    ("theta_hat", None, float, None, "analytic density limit for mode A fits"),
+    ("delta", 0.05, _finite_float, None, "tube radius for defect"),
+    ("threshold", 0.1, _finite_float, None, "angular clustering threshold"),
+    ("theta_hat", None, _finite_float, None, "analytic density limit for mode A fits"),
     ("mode", "B", str, ("A", "B"), "rate fit mode"),
-    ("radius", None, float, None, "single analysis radius (directions)"),
+    ("radius", None, _finite_float, None, "single analysis radius (directions)"),
 )
 
 
@@ -109,11 +121,17 @@ def _settings(args) -> dict:
     return s
 
 
-def _center(settings) -> np.ndarray:
+def _center(settings, m: int) -> np.ndarray:
+    """The center setting as m finite coordinates."""
+    text = str(settings["center"])
     try:
-        return np.array([float(t) for t in str(settings["center"]).split(",")])
+        x0 = np.array([float(t) for t in text.split(",")])
     except ValueError:
-        raise CliError(f"bad center {settings['center']!r}") from None
+        x0 = np.array([math.nan])
+    if len(x0) != m or not np.all(np.isfinite(x0)):
+        raise CliError(f"center must be {m} finite comma-separated coordinates, "
+                       f"got {text!r}")
+    return x0
 
 
 def _load_current(s) -> cur.TriCurrent:
@@ -186,7 +204,7 @@ def _write_csv(path, s, subcommand, columns, rows, extra=None):
 
 def _cmd_mass(s):
     C = _load_current(s)
-    x0 = _center(s)
+    x0 = _center(s, C.m)
     radii = _ladder(s)
     rows = list(zip(radii, cur.mass_ladder(C, x0, radii)))
     total = cur.mass(C)
@@ -196,7 +214,7 @@ def _cmd_mass(s):
 
 def _cmd_density_sweep(s):
     C = _load_current(s)
-    x0 = _center(s)
+    x0 = _center(s, C.m)
     trace = bl.density_trace(C, x0, s["r_max"], N=s["n"], q=s["q"],
                              region_kind=s["gauge"])
     rows = list(zip(trace.radii, trace.masses, trace.theta, trace.normalized))
@@ -205,7 +223,7 @@ def _cmd_density_sweep(s):
 
 def _cmd_monotonicity(s):
     C = _load_current(s)
-    x0 = _center(s)
+    x0 = _center(s, C.m)
     trace = bl.density_trace(C, x0, s["r_max"], N=s["n"], q=s["q"],
                              region_kind=s["gauge"])
     c1, passed = bl.monotonicity_check(trace)
@@ -234,7 +252,7 @@ def _cmd_defect(s):
 
 def _cmd_hopf_mass(s):
     C = _load_current(s)
-    x0 = _center(s)
+    x0 = _center(s, C.m)
     rows = []
     for r in _ladder(s):
         rows.append((s["q"] * r, r, bl.hopf_projection_mass(C, x0, s["q"] * r, r)))
@@ -243,7 +261,7 @@ def _cmd_hopf_mass(s):
 
 def _cmd_directions(s):
     C = _load_current(s)
-    x0 = _center(s)
+    x0 = _center(s, C.m)
     r = s["radius"] if s["radius"] is not None else s["r_max"]
     D = bl.tangent_directions(C, x0, r, threshold=s["threshold"])
     rows = []
@@ -264,14 +282,14 @@ def _cmd_directions(s):
 
 def _cmd_uniqueness_gap(s):
     C = _load_current(s)
-    x0 = _center(s)
+    x0 = _center(s, C.m)
     rows = [(r, bl.uniqueness_gap(C, x0, r)) for r in _ladder(s)]
     return ("r", "gap"), rows, []
 
 
 def _cmd_goodslice(s):
     C = _load_current(s)
-    x0 = _center(s)
+    x0 = _center(s, C.m)
     rows = []
     for r in _ladder(s):
         try:
@@ -284,7 +302,7 @@ def _cmd_goodslice(s):
 
 def _cmd_dirichlet(s):
     C = _load_current(s)
-    x0 = _center(s)
+    x0 = _center(s, C.m)
     ladder = _ladder(s)
     energies, factors, pole = bl.dirichlet_iteration(C, x0, ladder)
     rows = [
@@ -298,7 +316,7 @@ def _cmd_dirichlet(s):
 
 def _cmd_rate_fit(s):
     C = _load_current(s)
-    x0 = _center(s)
+    x0 = _center(s, C.m)
     trace = bl.density_trace(C, x0, s["r_max"], N=max(s["n"], 6), q=s["q"],
                              region_kind=s["gauge"])
     return _fit_table(bl.rate_fit(trace, mode=s["mode"],

@@ -373,17 +373,12 @@ def _projected_areas(C: TriCurrent, v, idx):
 def _cylinder_clip(C: TriCurrent, P2, idx, r: float) -> np.ndarray:
     """Exact areas inside the cylinder of radius r of triangles idx, with
     the vertices P2 projected to its plane relative to its axis: the share
-    of each projection inside the disk, times the triangle's area."""
+    of each projection inside the disk, times the triangle's area.
+    `_near_far` calls no edge-on projection crossed, so none comes here."""
     v = P2[C.triangles[idx]]
-    signed2, edge_on = _projected_areas(C, v, idx)
-    areas = C.areas[idx]
-    # the cylinder wall crosses an edge-on triangle, which counts whole or
-    # not at all by its centroid
-    vote = np.where(np.linalg.norm(v.mean(axis=1), axis=1) <= r, areas, 0.0)
-    clipped = np.abs(tri_disk_areas(v, r))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = np.minimum(clipped / np.abs(signed2), 1.0)
-    return np.where(edge_on, vote, areas * share)
+    signed2, _ = _projected_areas(C, v, idx)
+    share = np.minimum(np.abs(tri_disk_areas(v, r)) / np.abs(signed2), 1.0)
+    return C.areas[idx] * share
 
 
 # relative widening of the lower bound of a triangle's distance (`_near_far`)
@@ -407,8 +402,10 @@ def _near_far(C: TriCurrent, center, radii, axes=None):
     the center) is computed only for triangles with some radius in
     [low, far); the others keep near = low, which decides every radius as
     the closest point would. An edge-on projection (`_projected_areas`)
-    keeps low too, so the radii in [low, far) call it crossed and
-    `_cylinder_clip` gives it its centroid vote.
+    among those counts whole or not at all, by its centroid: its near and
+    far are both the distance of its projected centroid, so no radius calls
+    it crossed, and neither `_cylinder_clip` nor the section rule of
+    `_section_integrate` sees a projection without area.
     """
     center = np.asarray(center, dtype=float)
     T = C.triangles
@@ -429,8 +426,10 @@ def _near_far(C: TriCurrent, center, radii, axes=None):
     todo = np.nonzero(np.searchsorted(radii, far) > np.searchsorted(radii, near))[0]
     crn = V[T[todo]]
     if axes is not None:
-        keep = ~_projected_areas(C, crn, todo)[1]
-        todo, crn = todo[keep], crn[keep]
+        edge_on = _projected_areas(C, crn, todo)[1]
+        flat = todo[edge_on]
+        near[flat] = far[flat] = np.linalg.norm(crn[edge_on].mean(axis=1), axis=1)
+        todo, crn = todo[~edge_on], crn[~edge_on]
     if len(todo):
         q, _ = _closest_points_on_triangles(0.0, crn[:, 0], crn[:, 1], crn[:, 2])
         near[todo] = np.sqrt(_dot(q, q))
@@ -556,19 +555,23 @@ def _subdivide(tri, val, owner, area, value_of, leaf_rule):
 _MASS_MAX_DEPTH = 9
 
 
-def _subdiv_mass(C: TriCurrent, R: Region, rel_tol: float = 1e-4) -> float:
-    """Mass over a general region by subdivision against the indicator.
+def _subdiv_leaves(C: TriCurrent, R: Region, rel_tol: float = 1e-4):
+    """The partition of C that `_subdiv_mass` and `integrate` share for a
+    region they do not clip exactly: subdivision against the indicator.
 
     A (sub-)triangle is settled when its three vertices and its centroid are
-    all inside R, or all outside. A settled triangle counts its area, or 0;
-    the others form the frontier that `_subdivide` splits level by level,
-    carrying the membership of the corners, so each split tests its three
-    edge midpoints and each sub-triangle its centroid.
+    all inside R, or all outside. The others form the frontier that
+    `_subdivide` splits level by level, carrying the membership of the
+    corners, so each split tests its three edge midpoints and each
+    sub-triangle its centroid.
     Leaf rule for a sub-triangle at depth d: from d = 2 on, a settled one
-    counts its area, or 0 (at d = 0 and 1 it is split even if settled); at
-    d = 9, or once its area is at most rel_tol^2 * max(total mass, 1e-12),
-    it counts its area if its centroid is inside and 0 otherwise. Leaf
-    areas are summed per triangle, then weighted by its multiplicity.
+    retires (at d = 0 and 1 it is split even if settled); at d = 9, or once
+    its area is at most rel_tol^2 * max(total mass, 1e-12), it retires
+    whatever its corners. Every leaf counts as inside when its centroid is.
+
+    Returns the mask (T,) of the triangles settled inside at the top, and
+    the leaves of the others: corners (n, 3, m), owning triangle, area and
+    whether the centroid is inside, each (n,).
     """
     total = C.total_mass()
     corners = C.corners()
@@ -576,7 +579,6 @@ def _subdiv_mass(C: TriCurrent, R: Region, rel_tol: float = 1e-4) -> float:
     cents_in = R.indicator(C.centroids)
     all_in = np.all(verts_in, axis=1) & cents_in
     all_out = np.all(~verts_in, axis=1) & ~cents_in
-    acc = float(np.sum(C.areas[all_in] * C.multiplicities[all_in]))
     small = rel_tol * rel_tol * max(total, 1e-12)
 
     def is_leaf(depth, tri, verts, area):
@@ -585,12 +587,21 @@ def _subdiv_mass(C: TriCurrent, R: Region, rel_tol: float = 1e-4) -> float:
         capped = (depth == _MASS_MAX_DEPTH) | (area <= small)
         return (settled & (depth >= 2)) | capped, (cin,)
 
-    # every leaf counts its area if its centroid is inside, whatever retired it
     owner = np.nonzero(~(all_in | all_out))[0]
-    _, _, owner, area, _, cin = _subdivide(
+    tri, _, owner, area, _, cin = _subdivide(
         corners[owner], verts_in[owner], owner, C.areas[owner], R.indicator,
         is_leaf,
     )
+    return all_in, (tri, owner, area, cin)
+
+
+def _subdiv_mass(C: TriCurrent, R: Region, rel_tol: float = 1e-4) -> float:
+    """Mass over a general region on the partition of `_subdiv_leaves`:
+    the areas of the triangles settled inside, and of every leaf whose
+    centroid is inside, summed per triangle and then weighted by its
+    multiplicity."""
+    all_in, (_, owner, area, cin) = _subdiv_leaves(C, R, rel_tol)
+    acc = float(np.sum(C.areas[all_in] * C.multiplicities[all_in]))
     per_triangle = np.bincount(owner, weights=area * cin, minlength=len(C))
     return acc + float(per_triangle @ C.multiplicities)
 
@@ -680,8 +691,6 @@ def _quad_integrate(corners, tangents, areas, mults, fn):
         return 0.0
     return _refined_sum(_quad_values(corners, tangents, fn), areas, mults)
 
-
-_INTEGRATE_MAX_DEPTH = 5
 
 # Gauss-Legendre nodes in angle and in radius per sub-wedge of a section
 _SECTION_NODES = (8, 6)
@@ -831,27 +840,58 @@ def _section_wedges(xy, inner, outer):
     return rows[w], lo, hi, normals, h
 
 
+def _axis_sections(C: TriCurrent, V, idx, axes):
+    """Where triangles idx meet a coordinate cylinder over the plane
+    `axes`, with the vertices V relative to its center: a triangle is the
+    affine image of its projection to that plane, so it meets the cylinder
+    in the preimage of a disk about the axis.
+
+    Returns the projected corners (k, 3, 2), the frame (foot, e, f), each
+    (k, m), that maps projected coordinates (x, y) back to the
+    center-relative point foot + x e + y f of the triangle, and the ratio
+    of each triangle's area to its projection's (k,). e and f are the rows
+    of solve(E2, E), with E the edges from the first corner and E2 their
+    projections.
+    """
+    crn = V[C.triangles[idx]]
+    xy = crn[:, :, list(axes)]
+    M = np.linalg.solve(xy[:, 1:] - xy[:, :1], crn[:, 1:] - crn[:, :1])
+    foot = crn[:, 0] - xy[:, 0, :1] * M[:, 0] - xy[:, 0, 1:] * M[:, 1]
+    signed2, _ = _projected_areas(C, xy, idx)
+    return xy, (foot, M[:, 0], M[:, 1]), C.areas[idx] / np.abs(signed2)
+
+
 def _section_integrate(C: TriCurrent, fn, center, idx, inner: float,
-                       outer: float) -> float:
+                       outer: float, axes=None) -> float:
     """Integral of fn over the triangles idx intersected with the annulus
-    inner < |x - center| <= outer (a ball when inner is 0), on each
+    inner < |x - center| <= outer (a ball when inner is 0), or with the
+    coordinate cylinder of radius outer over the plane `axes`, on each
     triangle's exact planar section.
 
-    The section is the triangle cut by two circles about the foot of the
-    center in its plane (`_plane_sections`). In polar coordinates about the
-    foot, each sub-wedge of `_section_wedges` takes a tensor Gauss-Legendre
-    rule with `_SECTION_NODES` nodes in angle and radius and weight rho;
-    every node lies inside the section. fn sees one group per sub-wedge,
-    with its triangle's tangent row. A node whose weight is 0 (an empty ray
-    at a sub-wedge's end) is moved onto its group's heaviest node, so fn is
-    never evaluated off the section.
+    For a ball or an annulus, the section is the triangle cut by two
+    circles about the foot of the center in its plane (`_plane_sections`).
+    For a cylinder, it is the preimage of the disk about the axis under the
+    triangle's projection to the plane `axes` (`_axis_sections`): the
+    section is taken in that plane, about the axis, and each node is mapped
+    back to the triangle and weighted by the ratio of the triangle's area
+    to its projection's (1 for a ball). In polar coordinates about the foot
+    (or the axis), each sub-wedge of `_section_wedges` takes a tensor
+    Gauss-Legendre rule with `_SECTION_NODES` nodes in angle and radius and
+    weight rho; every node lies inside the section. fn sees one group per
+    sub-wedge, with its triangle's tangent row. A node whose weight is 0
+    (an empty ray at a sub-wedge's end) is moved onto its group's heaviest
+    node, so fn is never evaluated off the section.
     """
     center = np.asarray(center, dtype=float)
-    near, xy, off2, ro, (foot, e, f) = _plane_sections(
-        C, C.vertices - center, idx, outer
-    )
-    idx = idx[near]
-    ri = np.sqrt(np.maximum(inner * inner - off2, 0.0))
+    V = C.vertices - center
+    if axes is None:
+        near, xy, off2, ro, (foot, e, f) = _plane_sections(C, V, idx, outer)
+        idx = idx[near]
+        ri = np.sqrt(np.maximum(inner * inner - off2, 0.0))
+        ratio = np.ones(len(idx))
+    else:
+        xy, (foot, e, f), ratio = _axis_sections(C, V, idx, axes)
+        ri, ro = np.zeros(len(idx)), np.full(len(idx), outer)
     g, th0, th1, normals, h = _section_wedges(xy, ri, ro)
     if len(g) == 0:
         return 0.0
@@ -871,30 +911,33 @@ def _section_integrate(C: TriCurrent, fn, center, idx, inner: float,
         heaviest = pts[np.arange(len(g)), np.argmax(w, axis=1)]
         pts = np.where(empty[..., None], heaviest[:, None], pts)
     vals = np.asarray(fn(pts, C.tangents[owner]), dtype=float)
-    return float(np.sum((vals * w).sum(axis=1) * C.multiplicities[owner]))
+    return float(np.sum((vals * w).sum(axis=1) * ratio[g] * C.multiplicities[owner]))
 
 
 def _shell_integrals(C: TriCurrent, fn, regions) -> list:
     """Integrals of fn over C restricted to each of `regions`, balls and
-    annuli about one center, as `integrate` describes them, with the
-    interior quadrature evaluated once.
+    annuli about one center, or cylinders about one axis over one plane, as
+    `integrate` describes them, with the interior quadrature evaluated
+    once.
 
-    One `_near_far` over all the regions' radii sorts the triangles: a
-    triangle lies inside a region when its farthest vertex is in the
-    (outer) ball and, for an annulus, its closest point outside the hole;
-    it lies outside when its closest point is outside the ball or its
-    farthest vertex inside the hole; it meets the boundary otherwise. fn
-    is evaluated once at the quadrature points of the triangles inside any
-    of the regions and of their children (`_quad_values`); each region
-    takes its own inside triangles' values, in triangle order, applies the
-    refined rule to them (`_refined_sum`), and adds the integral over the
-    exact sections of its boundary triangles (`_section_integrate`). So
-    each value is the same, bit for bit, as that of a one-region call.
+    One `_near_far` over all the regions' radii (about the axis, for
+    cylinders) sorts the triangles: a triangle lies inside a region when
+    its farthest vertex is in the (outer) ball and, for an annulus, its
+    closest point outside the hole; it lies outside when its closest point
+    is outside the ball or its farthest vertex inside the hole; it meets
+    the boundary otherwise. fn is evaluated once at the quadrature points
+    of the triangles inside any of the regions and of their children
+    (`_quad_values`); each region takes its own inside triangles' values,
+    in triangle order, applies the refined rule to them (`_refined_sum`),
+    and adds the integral over the exact sections of its boundary
+    triangles (`_section_integrate`). So each value is the same, bit for
+    bit, as that of a one-region call.
     """
     center = regions[0].center
+    axes = regions[0].axes if regions[0].kind == "cylinder" else None
     bounds = [(R.inner, R.outer) if R.kind == "annulus" else (0.0, R.radius)
               for R in regions]
-    near, far = _near_far(C, center, [r for b in bounds for r in b if r > 0.0])
+    near, far = _near_far(C, center, [r for b in bounds for r in b if r > 0.0], axes)
     shells = []
     for hole, ball in bounds:
         inside = (far <= ball) & ((near > hole) | (hole == 0.0))
@@ -908,12 +951,14 @@ def _shell_integrals(C: TriCurrent, fn, regions) -> list:
         sel = inside[union]
         acc = _refined_sum([v[sel] for v in vals], C.areas[union][sel],
                            C.multiplicities[union][sel])
-        totals.append(acc + _section_integrate(C, fn, center, meets, hole, ball))
+        totals.append(acc + _section_integrate(C, fn, center, meets, hole, ball, axes))
     return totals
 
 
 def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
-    """Integral over ||C|| restricted to R of a pointwise scalar field.
+    """Integral over ||C|| restricted to R of a pointwise scalar field, on
+    the same partition of C that `mass` measures R on, so that
+    `integrate(C, 1, R)` is `mass(C, R)` to rounding for every region kind.
 
     The integrand sees the quadrature points in groups, each on one
     triangle: fn(points (L, k, m), tangents (L, n2)) -> (L, k) values,
@@ -926,62 +971,36 @@ def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
     order-7 quadrature with one adaptive refinement pass
     (`_quad_integrate`, k = 7).
 
-    For a ball or an annulus, `_near_far` sorts the triangles into inside,
-    outside and boundary (see `_shell_integrals`). A triangle that meets
-    the region's boundary is integrated on its exact planar section by a
-    polar Gauss-Legendre rule (`_section_integrate`, one group of
-    k = n_theta * n_rho nodes per sub-wedge), so these integrals have
-    quadrature error only and `integrate(C, 1, R)` is the clipped mass to
-    rounding. A ball or an annulus is the one-region case of
-    `_shell_integrals`, which `integrate_ladder` runs over nested balls.
+    For a ball, an annulus or a cylinder, `_near_far` sorts the triangles
+    into inside, outside and boundary (see `_shell_integrals`), as it does
+    for `mass`. A triangle that meets the region's boundary is integrated
+    on its exact planar section by a polar Gauss-Legendre rule
+    (`_section_integrate`, one group of k = n_theta * n_rho nodes per
+    sub-wedge), so these integrals have quadrature error only. A region of
+    these kinds is the one-region case of `_shell_integrals`, which
+    `integrate_ladder` runs over nested balls.
 
-    Cylinders, cone complements and intersections, which no pipeline
-    integrates over, keep midpoint subdivision: a triangle with a vertex
-    outside R is split into its four midpoint children, level by level
-    (`_subdivide`, which carries the corners' membership down), until a
-    sub-triangle has all vertices inside, no vertex inside, or sits at
-    depth 5. Each such leaf gets the 7-point rule masked by membership of
-    its quadrature points (k = 7), and fn is not called on a leaf with no
-    quadrature point inside.
+    Cone complements and intersections integrate on the leaves of
+    `_subdiv_leaves`, which `_subdiv_mass` sums: the triangles settled
+    inside R take the refined rule, and every leaf whose centroid is
+    inside takes the 7-point rule times its area (k = 7); fn is not called
+    on the other leaves.
     """
     R = _effective_region(C, R)
-    if R.kind in ("ball", "annulus"):
+    if R.kind in ("ball", "annulus", "cylinder"):
         return _shell_integrals(C, fn, [R])[0]
     corners = C.corners()
     if R.kind == "full":
         return _quad_integrate(corners, C.tangents, C.areas, C.multiplicities, fn)
-    verts_in = R.indicator(corners)
-    all_in = np.all(verts_in, axis=1)
-    acc = _quad_integrate(
-        corners[all_in],
-        C.tangents[all_in],
-        C.areas[all_in],
-        C.multiplicities[all_in],
-        fn,
-    )
-
-    def is_leaf(depth, tri, inn, area):
-        done = (
-            np.all(inn, axis=1)
-            | ~np.any(inn, axis=1)
-            | (depth == _INTEGRATE_MAX_DEPTH)
-        )
-        return done, ()
-
-    owner = np.nonzero(~all_in)[0]
-    tri, _, owner, area, _ = _subdivide(
-        corners[owner], verts_in[owner], owner, C.areas[owner], R.indicator,
-        is_leaf,
-    )
-    pts = _quad_points(tri)
-    inn = R.indicator(pts)
-    hit = np.any(inn, axis=1)
-    if not np.any(hit):
+    all_in, (tri, owner, area, cin) = _subdiv_leaves(C, R)
+    acc = _quad_integrate(corners[all_in], C.tangents[all_in], C.areas[all_in],
+                          C.multiplicities[all_in], fn)
+    tri, owner, area = tri[cin], owner[cin], area[cin]
+    if len(tri) == 0:
         return acc
-    pts, inn, owner, area = pts[hit], inn[hit], owner[hit], area[hit]
-    vals = np.asarray(fn(pts, C.tangents[owner]), dtype=float)
-    per_leaf = (vals * (TRI_QUAD_WEIGHTS * inn)).sum(axis=1)
-    return acc + float(np.sum(per_leaf * area * C.multiplicities[owner]))
+    vals = np.asarray(fn(_quad_points(tri), C.tangents[owner]), dtype=float)
+    return acc + float(np.sum((vals @ TRI_QUAD_WEIGHTS) * area
+                              * C.multiplicities[owner]))
 
 
 def integrate_ladder(C: TriCurrent, fn, center, radii) -> np.ndarray:

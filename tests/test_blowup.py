@@ -361,6 +361,15 @@ def test_direction_clusters_flag_a_split_at_half_the_threshold():
     _assert_same_clusters(got, _direction_clusters_reference(z, w, 0.3, 0.1))
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.1, math.nan, math.inf])
+def test_tangent_directions_reject_a_threshold_that_is_not_a_positive_angle(threshold):
+    """At threshold 0 every chord was its own "direction", and the clustering
+    was called stable."""
+    C = ex.two_lines(h=0.3)
+    with pytest.raises(ValueError, match="threshold"):
+        bl.tangent_directions(C, np.zeros(4), 0.5, threshold=threshold)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 3]))
 def test_property_direction_clusters_match_two_matrix_reference(seed, n):

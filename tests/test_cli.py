@@ -309,6 +309,35 @@ def test_config_values_checked_like_flags(tmp_path, capsys, entry):
                          f"--{flag}", value, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("argv, config, setting", [
+    (("mass", "--r-max", "nan"), "", "--r-max"),
+    (("rate-fit", "--r-max", "nan"), "", "--r-max"),
+    (("mass", "--q", "inf"), "", "--q"),
+    (("density-sweep", "--center", "nan,0,0,0"), "", "center"),
+    (("mass", "--center", "0,0"), "", "center"),
+    (("mass", "--center", "0,0,0,0,0"), "", "center"),
+    (("directions", "--radius", "0.5", "--threshold", "0"), "", "threshold"),
+    (("mass",), "r-max = -inf\n", "--r-max"),
+    (("defect",), "delta = nan\n", "--delta"),
+])
+def test_non_finite_numbers_and_wrong_centers_rejected(tmp_path, capsys, argv, config,
+                                                       setting):
+    """A non-finite float setting, from a flag or a config entry, a center
+    with a non-finite coordinate or the wrong number of them, and a
+    clustering threshold that is not a positive angle each exit 1, name the
+    setting and write no CSV."""
+    cmd, *flags = argv
+    base = [cmd, "--example", "two-lines", "--h", "0.3", *flags]
+    if config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        base += ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert _exit_status(base + ["--out", str(out)]) == 1
+    assert setting in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_lists_commands_and_settings():
     """README's subcommand list is `cli._COMMANDS` in order, and its
     settings table names exactly the parser's setting flags, each with its

@@ -1,10 +1,16 @@
-"""Every name a curlab module imports is used there or re-exported.
+"""Every name a curlab module imports is used there or re-exported, and
+every private module-level name is referenced somewhere in the package.
 
 A stand-in for pyflakes' unused-import check (F401), which is not a
 dependency: each `src/curlab/*.py` is parsed with `ast`, and an imported
 name must appear as a name in the module's code or be listed in its
 `__all__`. Imports on a line marked `# noqa: F401` are exempt; they keep
 names that perfbench/tracing.py wraps on the module that calls them.
+
+The dead-code guard: a function, class or constant defined at module level
+under a `_` name must be read somewhere in `src/curlab/` (as a name, an
+attribute or an import), so a helper or a constant that a refactor leaves
+behind is found.
 """
 
 import ast
@@ -48,3 +54,53 @@ def test_unused_import_is_found(tmp_path):
     mod.write_text("import math\nimport os  # noqa: F401\nfrom json import dumps, loads\n"
                    "__all__ = ['loads']\n\nprint(dumps)\n")
     assert _unused_imports(mod) == ["mod.py:1 math"]
+
+
+def _module_private_names(tree):
+    """(name, line) of each `_` name a module binds at its top level by a
+    def, a class or an assignment (dunder names excepted)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [ast.Name(id=node.name)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name) and name.id.startswith("_")
+                        and not name.id.startswith("__")):
+                    yield name.id, node.lineno
+
+
+def _unreferenced_private_names(paths) -> list[str]:
+    defined, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.name, line, name) for name, line in _module_private_names(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{file}:{line} {name}" for file, line, name in sorted(defined)
+            if name not in read]
+
+
+def test_no_unreferenced_private_names():
+    assert _unreferenced_private_names(sorted(SRC.glob("*.py"))) == []
+
+
+def test_unreferenced_private_name_is_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("_USED = 1\n_LEFT = 2\n_A, (_B, _C) = 3, (4, 5)\n__all__ = []\n\n"
+                   "def _helper():\n    _LOCAL = _USED + _A\n    return _LOCAL\n\n"
+                   "class _Gone:\n    pass\n\n\n"
+                   "def _loud():\n    pass\n\n\n"
+                   "_TABLE: dict = {}\n_helper()\n")
+    other = tmp_path / "other.py"
+    other.write_text("import mod\nfrom mod import _B\n\nmod._loud()\n")
+    assert _unreferenced_private_names([mod, other]) == [
+        "mod.py:2 _LEFT", "mod.py:3 _C", "mod.py:10 _Gone", "mod.py:18 _TABLE"]
