@@ -145,6 +145,9 @@ def density_trace(C: cur.TriCurrent, x0, r_max: float, N: int = 8,
 def monotonicity_check(trace: DensityTrace, tol: float = 1e-6):
     """Smallest drift C1 in [0, 1e3] making (e^{C1 r} + C1 r) theta(r)
     nondecreasing in r within relative tolerance; returns (C1, passed).
+
+    Both sides are scaled by e^{-s}, s = max(C1 max(r) - 700, 0), so
+    e^{C1 r} cannot overflow; below that s = 0 and nothing is scaled.
     """
     if len(trace) < 4:
         raise ValueError("trace too short")
@@ -153,8 +156,9 @@ def monotonicity_check(trace: DensityTrace, tol: float = 1e-6):
     scale = max(abs(th).max(), 1e-30)
 
     def ok(c1):
-        seq = (np.exp(c1 * r) + c1 * r) * th
-        return bool(np.all(np.diff(seq) >= -tol * scale))
+        s = max(c1 * r[-1] - 700.0, 0.0)
+        seq = (np.exp(c1 * r - s) + c1 * r * math.exp(-s)) * th
+        return bool(np.all(np.diff(seq) >= -tol * scale * math.exp(-s)))
 
     return _smallest_drift(ok)
 

@@ -1,6 +1,7 @@
 """Density, monotonicity, projection-mass, directions and rate analysis."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,27 @@ def test_monotonicity_calibrated_examples(disk, graph, lines, cusp):
         c1, ok = bl.monotonicity_check(tr)
         assert ok
         assert c1 == 0.0
+
+
+def test_monotonicity_large_drift_does_not_overflow():
+    """Ladders reaching r = 0.8 make e^{C1 r} overflow at C1 = 1e3 unless
+    scaled. A trace that needs a drift bisects to it without a warning,
+    and one that no drift makes monotone returns (1e3, False)."""
+    r = 0.8 * 0.7 ** np.arange(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c1, ok = bl.monotonicity_check(
+            bl.DensityTrace(np.zeros(4), r, math.pi * (1 - r) * r**2))
+        assert ok
+        assert 0.0 < c1 < 1e3
+        th = (math.pi * (1 - r))[::-1]
+        for c, holds in ((c1, True), (0.99 * c1, False)):
+            seq = (np.exp(c * r[::-1]) + c * r[::-1]) * th
+            assert bool(np.all(np.diff(seq) >= -1e-6 * th.max())) == holds
+
+        masses = np.where(r == r[0], 0.0, r**2)
+        assert bl.monotonicity_check(
+            bl.DensityTrace(np.zeros(4), r, masses)) == (1e3, False)
 
 
 def test_conical_defect_cone(disk, lines):

@@ -232,6 +232,15 @@ def test_example_without_mesh_size(tmp_path, capsys):
     assert not (tmp_path / "dirichlet.csv").exists()
 
 
+def test_jholo_monotonicity_zero_energy_map(tmp_path):
+    """The constant map has zero energy, so it passes with C = 0."""
+    rc = cli.run(["jholo-monotonicity", "--example", "constant",
+                  "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = _read_rows(tmp_path / "jholo_monotonicity.csv")
+    assert all(row[-2:] == ["0", "true"] for row in rows[1:])
+
+
 def test_jholo_unknown_map(tmp_path):
     rc = cli.run(["jholo-energy", "--example", "flat-disk",
                   "--out", str(tmp_path)])
