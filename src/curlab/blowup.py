@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit, linprog
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import currents as cur
 from .exterior import (
@@ -288,7 +285,19 @@ def _single_linkage(points: np.ndarray, threshold: float,
     computed here when not given."""
     if dist is None:
         dist = _fs_dist_matrix(points, points)
-    _, labels = connected_components(csr_matrix(dist < threshold), directed=False)
+    near = dist < threshold
+    near |= near.T  # an undirected graph, whatever the matrix's last bits
+    labels = np.full(len(near), -1)
+    count = 0
+    for seed in range(len(near)):
+        if labels[seed] >= 0:
+            continue
+        labels[seed] = count
+        front = np.array([seed])
+        while len(front):  # breadth first: the unlabelled neighbors of front
+            front = np.flatnonzero(near[front].any(axis=0) & (labels < 0))
+            labels[front] = count
+        count += 1
     return labels
 
 
@@ -361,6 +370,8 @@ def _transport_distance(A: DirectionCluster, B: DirectionCluster) -> float:
     Exact small transport program; surplus weight on either side pays the
     half-diameter pi/2 of projective space.
     """
+    from scipy.optimize import linprog
+
     ra, wa = A.representatives, A.weights
     rb, wb = B.representatives, B.weights
     ka, kb = len(wa), len(wb)
@@ -544,6 +555,8 @@ def rate_fit(trace: DensityTrace, mode: str = "B",
 
     def model(rr, a, c, g):
         return a + c * rr**g
+
+    from scipy.optimize import curve_fit
 
     popt, _ = curve_fit(
         model, r, th, p0=[th0, c_seed, 2.0],

@@ -9,7 +9,6 @@ Legendrian form on R^6.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import currents as cur
 from .currents import _closest_points_on_triangles, _dot
@@ -117,6 +116,8 @@ class TubularField(CalibrationField):
     TIE = 1e-12  # distances this close, relative to the coordinates, tie
 
     def __init__(self, S: cur.TriCurrent, delta: float):
+        from scipy.spatial import cKDTree
+
         self.S = S
         self.delta = float(delta)
         self.k = min(self.K_CANDIDATES, len(S))

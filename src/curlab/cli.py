@@ -155,6 +155,10 @@ def _load_current(s) -> cur.TriCurrent:
 
 
 def _load_map(s) -> jh.SampledMap:
+    # a map is sampled on its own grid: no mesh file and no mesh size
+    for key in ("mesh", "h"):
+        if s[key] is not None:
+            raise CliError(f"map pipelines take no {_flag(key)}")
     name = s["example"]
     if name not in jh.MAP_EXAMPLE_NAMES:
         raise CliError(

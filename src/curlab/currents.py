@@ -1359,39 +1359,57 @@ def read_mesh(path) -> TriCurrent:
 
     Grammar: optional `#` comments; `dim m`; `vertex x1 ... xm` lines;
     `tri i j k mult` lines (0-based indices, nonzero integer multiplicity).
+    The records are checked as arrays, and the first faulty line in the
+    file is reported: a wrong field count, a vertex before any dim or with
+    other than m coordinates, an unknown record. The vertex and tri
+    records are then converted as two flat lists, so a number that does
+    not parse raises its conversion's error, without a line number.
     """
-    m = None
-    verts = []
-    tris = []
-    mults = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            fields = {"dim": 1, "tri": 4}.get(tok[0])
-            if fields is not None and len(tok) - 1 != fields:
-                raise ValueError(f"line {lineno}: {tok[0]!r} record with "
-                                 f"{len(tok) - 1} fields, expected {fields}")
-            if tok[0] == "dim":
-                m = int(tok[1])
-            elif tok[0] == "vertex":
-                if m is None:
-                    raise ValueError(f"line {lineno}: vertex before dim")
-                x = [float(t) for t in tok[1:]]
-                if len(x) != m:
-                    raise ValueError(f"line {lineno}: expected {m} coordinates")
-                verts.append(x)
-            elif tok[0] == "tri":
-                i, j, k, mult = (int(t) for t in tok[1:])
-                tris.append((i, j, k))
-                mults.append(mult)
-            else:
-                raise ValueError(f"line {lineno}: unknown record {tok[0]!r}")
-    if m is None:
+        text = fh.read()
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    toks = [line.split() for line in lines]
+    lineno = [n for n, t in enumerate(toks, 1) if t]
+    toks = [t for t in toks if t]
+    kind = np.array([t[0] for t in toks], dtype=str)
+    fields = np.array([len(t) - 1 for t in toks], dtype=int)
+    is_dim, is_vertex, is_tri = kind == "dim", kind == "vertex", kind == "tri"
+    fault = ((is_dim & (fields != 1)) | (is_tri & (fields != 4))
+             | ~(is_dim | is_vertex | is_tri))
+    # each record's m is that of the last dim record at or before it
+    m = np.zeros(len(toks), dtype=int)
+    declared = np.zeros(len(toks), dtype=bool)
+    for i in np.flatnonzero(is_dim & ~fault):
+        if (fault[:i] | (is_vertex[:i] & (~declared[:i] | (fields[:i] != m[:i])))).any():
+            break  # an earlier fault is reported first
+        m[i:] = int(toks[i][1])
+        declared[i:] = True
+    fault |= is_vertex & (~declared | (fields != m))
+    if fault.any():
+        i = int(np.argmax(fault))
+        where = f"line {lineno[i]}"
+        if is_vertex[i]:
+            raise ValueError(f"{where}: expected {m[i]} coordinates" if declared[i]
+                             else f"{where}: vertex before dim")
+        if is_dim[i] or is_tri[i]:
+            raise ValueError(f"{where}: {toks[i][0]!r} record with {fields[i]} "
+                             f"fields, expected {1 if is_dim[i] else 4}")
+        raise ValueError(f"{where}: unknown record {toks[i][0]!r}")
+    if not is_dim.any():
         raise ValueError("missing dim record")
-    return TriCurrent(verts, tris, mults)
+    verts = [t for t, v in zip(toks, is_vertex) if v]
+    tris = [t for t, v in zip(toks, is_tri) if v]
+    if verts:
+        dims = np.unique(fields[is_vertex])
+        if len(dims) > 1:
+            raise ValueError(f"vertex records of {len(dims)} dimensions")
+        verts = np.array([float(x) for t in verts for x in t[1:]]).reshape(len(verts), dims[0])
+    if not tris:
+        return TriCurrent(verts, [], [])
+    tris = np.array([int(x) for t in tris for x in t[1:]]).reshape(-1, 4)
+    return TriCurrent(verts, tris[:, :3], tris[:, 3])
 
 
 def write_mesh(path, C: TriCurrent) -> None:

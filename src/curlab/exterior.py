@@ -22,7 +22,6 @@ from itertools import combinations
 from types import MappingProxyType
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "MultiVector",
@@ -377,9 +376,11 @@ def _canonical_pairs(A: np.ndarray, tol: float = 1e-12):
     Returns (Q, lam) with Q orthogonal, lam sorted descending, and
     Q^T A Q block-diagonal with blocks [[0, lam_i], [-lam_i, 0]].
     """
+    from scipy.linalg import schur
+
     m = A.shape[0]
     scale = max(np.abs(A).max(), 1.0)
-    T, Z = scipy.linalg.schur(A, output="real")
+    T, Z = schur(A, output="real")
     # collect 2x2 blocks and 1x1 (zero) slots
     pairs = []  # (lam, col_a, col_b)
     singles = []

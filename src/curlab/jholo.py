@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from . import blowup as bl
 from .exterior import ComplexStructure
@@ -108,6 +107,73 @@ def _diff_matrix(nodes: np.ndarray) -> np.ndarray:
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
     return D
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of samples y at increasing nodes x, N >= 3.
+
+    The arithmetic of scipy 1.17's 1-d `scipy.integrate.simpson`, bit for
+    bit: the unequal-spacing parabola rule on the pairs of intervals from
+    the left, and for an even number of samples the last interval by
+    Cartwright's correction (its three-point weights alpha, beta, eta).
+    """
+    N = len(y)
+    stop = N - 2 if N % 2 else N - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                        + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                        + y[2:stop + 2:2] * (2.0 - h0divh1))
+    result = np.sum(tmp)
+    if N % 2 == 0:
+        # 0-d arrays, as scipy takes them, so each power is the same ufunc
+        g0, g1 = np.squeeze(h[-2:-1]), np.squeeze(h[-1:])
+        alpha = (2 * g1 ** 2 + 3 * g0 * g1) / (6 * (g1 + g0))
+        beta = (g1 ** 2 + 3.0 * g0 * g1) / (6 * g0)
+        eta = (1 * g1 ** 3) / (6 * g0 * (g0 + g1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
+def _periodic_multilinear(values: np.ndarray, radii: np.ndarray, eta: np.ndarray,
+                          phi: np.ndarray, coords) -> np.ndarray:
+    """Multilinear interpolation of (R, E, P, P) values on the polar grid
+    at n points, coords = (rho, eta, phi1, phi2) each (n,) -> (n,),
+    periodic in both phi.
+
+    The arithmetic of scipy's `RegularGridInterpolator` (method "linear",
+    no bounds error, extrapolated) on the grid with each phi axis extended
+    by the node 2 pi and the values wrapped onto it, bit for bit: the same
+    cell and fraction per axis, each corner weight multiplied up axis by
+    axis, and the 16 corner terms summed in the order of
+    `itertools.product` over (lower, upper) per axis, starting from 0. The
+    values are read through flat indices into the unwrapped array; the
+    upper index of a phi cell is wrapped once per point.
+    """
+    flat = values.ravel()
+    strides = np.cumprod((values.shape[1:] + (1,))[::-1])[::-1]
+    axes = []  # per axis: (flat offset, weight) of the lower and upper node
+    for axis, (grid, t) in enumerate(zip((radii, eta, phi, phi), coords)):
+        n = len(grid)
+        if axis >= 2:
+            grid = np.append(grid, 2 * np.pi)
+        i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
+        y = (t - grid[i]) / (grid[i + 1] - grid[i])
+        upper = np.where(i + 1 < n, i + 1, 0)
+        axes.append(((i * strides[axis], 1 - y), (upper * strides[axis], y)))
+    *first, last = axes
+    corners = [(0, 1.0)]
+    for pair in first:
+        corners = [(k + off, w * f) for k, w in corners for off, f in pair]
+    # the last axis is taken corner by corner, so only 8 index arrays live
+    out = np.zeros(len(coords[0]))
+    for k, w in corners:
+        for off, f in last:
+            out += flat.take(k + off) * (w * f)
+    return out
 
 
 class SampledMap:
@@ -289,8 +355,6 @@ class SampledMap:
         Trapezoidal in radius over the geometric ladder; the hole below the
         innermost radius is closed with the local power-law model.
         """
-        from scipy.integrate import simpson
-
         k = self._radius_index(r)
         S = self.sphere_integral(density)
         rho = self.radii
@@ -299,7 +363,7 @@ class SampledMap:
         # the ladder is uniform in log radius; Simpson there is high order
         if k >= 2:
             s = np.log(rho[: k + 1])
-            acc = float(simpson(F[: k + 1] * rho[: k + 1], x=s))
+            acc = float(_simpson(F[: k + 1] * rho[: k + 1], s))
         else:
             acc = float(np.trapezoid(F[: k + 1], rho[: k + 1]))
         # hole: assume F ~ F(rho_0) * (rho/rho_0)^p with p from the first step
@@ -559,14 +623,6 @@ def coarea_slice_check(u: SampledMap, n_lines: int = 128, seed: int = 7,
         raise ValueError("at least 64 line samples required")
     if density is None:
         density = u.energy_density()
-    phi_ext = np.append(u.phi, 2 * math.pi)
-    interp = RegularGridInterpolator(
-        (u.radii, u.eta, phi_ext, phi_ext),
-        np.pad(density, ((0, 0), (0, 0), (0, 1), (0, 1)), mode="wrap"),
-        bounds_error=False,
-        fill_value=None,
-    )
-
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n_lines, 2)) + 1j * rng.normal(size=(n_lines, 2))
     a /= np.linalg.norm(a, axis=1)[:, None]
@@ -588,7 +644,7 @@ def coarea_slice_check(u: SampledMap, n_lines: int = 128, seed: int = 7,
     p2 = np.arctan2(rel[:, 3], rel[:, 2]) % (2 * math.pi)
     eta = np.clip(eta, u.eta[0], u.eta[-1])
     rho = np.clip(rho, u.radii[0], u.radii[-1])
-    vals = interp(np.column_stack([rho, eta, p1, p2]))
+    vals = _periodic_multilinear(density, u.radii, u.eta, u.phi, (rho, eta, p1, p2))
     per_line = vals.reshape(n_lines, len(zeta)) @ wq
     reassembled = math.pi * per_line.mean()
     ball = u.ball_integral(density, u.r_max)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from curlab import blowup as bl
 from curlab import currents as cur
@@ -315,6 +317,9 @@ def test_property_single_linkage_matches_union_find(seed, n):
     # numbered in order of each cluster's lowest point index
     firsts = [np.nonzero(labels == lab)[0][0] for lab in range(labels.max() + 1)]
     assert firsts == sorted(firsts)
+    # and so numbered as scipy's csgraph numbers the components
+    near = csr_matrix(xt._fs_dist_matrix(z, z) < threshold)
+    assert np.array_equal(labels, connected_components(near, directed=False)[1])
 
 
 def _direction_clusters_reference(z, w, r, threshold):

@@ -253,6 +253,25 @@ def test_jholo_ladder_beyond_grid(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["jholo-energy", "jholo-monotonicity", "jholo-rate"])
+@pytest.mark.parametrize("flag, value", [("--h", "0.1"), ("--mesh", "nonexistent.mesh")])
+def test_jholo_rejects_mesh_settings(tmp_path, capsys, command, flag, value):
+    """A sampled map has its own grid, so a mesh size or a mesh file is an
+    input error that names the flag, not a setting quietly dropped."""
+    rc = cli.run([command, "--example", "z1", flag, value, "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"map pipelines take no {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_jholo_rejects_mesh_size_from_config(tmp_path, capsys):
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text("example = z1\nh = 0.1\n")
+    rc = cli.run(["jholo-energy", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "map pipelines take no --h" in capsys.readouterr().err
+
+
 # the smallest input on which each subcommand exits 0, its CSV columns and
 # the config echo it writes
 _BASE_ECHO = ("center=0,0,0,0 delta=0.05 example={ex} gauge=ball {h}mode=B "

@@ -622,6 +622,44 @@ def test_mesh_rejects_bad_records(tmp_path):
         cur.read_mesh(p)
 
 
+def test_mesh_comments_and_values_bit_for_bit(tmp_path, graph):
+    """Comments, blank lines, CRLF line ends and a negative multiplicity
+    read as the records' Python `float` and `int` values, exactly."""
+    p = tmp_path / "mesh.txt"
+    cur.write_mesh(p, graph)
+    lines = p.read_text().splitlines()
+    lines[1] += "  # first vertex"
+    lines.insert(0, "# a graph")
+    lines.insert(3, "")
+    p.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    C = cur.read_mesh(p)
+    rows = [line.split("#")[0].split() for line in lines]
+    want = [[float(x) for x in r[1:]] for r in rows if r and r[0] == "vertex"]
+    assert C.vertices.tobytes() == np.array(want).tobytes()
+    assert np.array_equal(C.triangles, graph.triangles)
+    p.write_text("dim 4\nvertex 0 0 0 0\nvertex 1 0 0 0\nvertex 0 1 0 0\ntri 0 1 2 -3\n")
+    C = cur.read_mesh(p)
+    assert C.triangles.tolist() == [[0, 2, 1]] and C.multiplicities.tolist() == [3]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertex 0 0 0 0\ndim 4\n", "line 1: vertex before dim"),
+    ("dim 4\nvertex 0 0 0\n", "line 2: expected 4 coordinates"),
+    ("# c\n\ndim 4\nvertex 0 0 0 0\nblob 1\n", "line 5: unknown record 'blob'"),
+    ("dim 4\nfoo\nvertex 0 0\n", "line 2: unknown record 'foo'"),
+    ("dim 4\nvertex 0 0\nfoo\n", "line 2: expected 4 coordinates"),
+    ("dim 3\nvertex 0 0 0\ndim 4\nvertex 0 0 0\n", "line 4: expected 4 coordinates"),
+    ("dim x\nfoo\n", "invalid literal for int"),
+    ("dim 4\nvertex 0 0 0 x\n", "could not convert string to float"),
+    ("# only a comment\n", "missing dim record"),
+])
+def test_mesh_reports_first_fault(tmp_path, text, message):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        cur.read_mesh(p)
+
+
 @pytest.mark.parametrize("tri", [(0, 1, 3), (-1, 0, 1)])
 def test_tricurrent_rejects_vertex_index_out_of_range(tri):
     with pytest.raises(ValueError, match="vertex index"):

@@ -11,9 +11,17 @@ The dead-code guard: a function, class or constant defined at module level
 under a `_` name must be read somewhere in `src/curlab/` (as a name, an
 attribute or an import), so a helper or a constant that a refactor leaves
 behind is found.
+
+The scipy guard: importing curlab loads no scipy module, and neither do
+the map pipelines, `directions` or `mass`; scipy is imported by the four
+calls that use it, on first use.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +112,47 @@ def test_unreferenced_private_name_is_found(tmp_path):
     other.write_text("import mod\nfrom mod import _B\n\nmod._loud()\n")
     assert _unreferenced_private_names([mod, other]) == [
         "mod.py:2 _LEFT", "mod.py:3 _C", "mod.py:10 _Gone", "mod.py:18 _TABLE"]
+
+
+# Runs in a fresh interpreter, writing CSVs into the directory argv[1];
+# prints the scipy modules loaded after each step.
+_SCIPY_FREE_STEPS = """
+import json, sys
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+loaded = {}
+from curlab import cli, jholo as jh
+loaded["import curlab.cli"] = scipy_modules()
+out = sys.argv[1]
+for argv in (["jholo-energy", "--example", "z1", "--n", "4"],
+             ["jholo-monotonicity", "--example", "z1", "--n", "5"],
+             ["jholo-rate", "--example", "z1", "--n", "6", "--mode", "A", "--theta-hat", "0"],
+             ["directions", "--example", "two-lines", "--h", "0.3", "--radius", "0.5"],
+             ["mass", "--example", "flat-disk", "--h", "0.3", "--n", "4"]):
+    assert cli.run(argv + ["--out", out]) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+grid = dict(n_radial=12, n_eta=4, n_phi=8)
+jh.coarea_slice_check(jh.map_example("z1", **grid), n_lines=64)
+loaded["coarea_slice_check"] = scipy_modules()
+jh.inner_variation_residual(jh.map_example("z1", **grid), jh.radial_bump_field(),
+                            jh.AlmostComplexField.standard())
+loaded["inner_variation_residual, standard J"] = scipy_modules()
+u, J = jh.map_example("z1-warped", **grid)
+jh.inner_variation_residual(u, jh.radial_bump_field(), J)
+loaded["inner_variation_residual, warped J"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_map_pipelines_load_no_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_STEPS, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True, timeout=300)
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert len(loaded) == 9
+    assert {step: mods for step, mods in loaded.items() if mods} == {}

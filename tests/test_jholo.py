@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 from scipy.interpolate import RegularGridInterpolator
 
 from curlab import exterior as xt
@@ -317,6 +318,60 @@ def test_coarea_batched_matches_per_line(u_z1, u_z1z2, u_hopf):
     per, _, _, _ = jh.coarea_slice_check(u_z1, n_lines=64, seed=11)
     want = _coarea_per_line_reference(u_z1, u_z1.energy_density(), 64, 11)
     np.testing.assert_allclose(per, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 51))
+def test_simpson_matches_scipy_bit_for_bit(n):
+    """`_simpson` is scipy's 1-d `simpson` to the bit, for odd n and for
+    even n (Cartwright's last interval), on geometric nodes, on their
+    logarithms (the uniform nodes `ball_integral` uses) and on random
+    increasing nodes."""
+    rng = np.random.default_rng(n)
+    geometric = rng.uniform(0.1, 2.0) * rng.uniform(0.5, 0.95) ** np.arange(n)[::-1]
+    for x in (geometric, np.log(geometric),
+              np.cumsum(rng.uniform(1e-3, 1.0, n)) - rng.uniform(0, 5)):
+        y = rng.normal(size=n) * rng.uniform(0.1, 10.0)
+        got = jh._simpson(y, x)
+        want = simpson(y, x=x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+@pytest.mark.parametrize("name", ["z1", "z1z2", "hopf"])
+def test_periodic_multilinear_matches_scipy_bit_for_bit(name, u_z1, u_z1z2, u_hopf):
+    """The coarea check's interpolation is `RegularGridInterpolator`'s on
+    the grid with both phi axes extended to 2 pi and the density wrapped,
+    to the bit: at random points, at nodes, at phi = 0, within an ulp of
+    2 pi and at 2 pi, and at the clip limits of rho and eta."""
+    u = {"z1": u_z1, "z1z2": u_z1z2, "hopf": u_hopf}[name]
+    rng = np.random.default_rng(len(name))
+    n = 4000
+    pts = np.column_stack([
+        rng.uniform(u.radii[0], u.radii[-1], n),
+        rng.uniform(u.eta[0], u.eta[-1], n),
+        rng.uniform(0.0, 2 * math.pi, n),
+        rng.uniform(0.0, 2 * math.pi, n),
+    ])
+    below_2pi = np.nextafter(2 * math.pi, 0.0)
+    edges = {0: (u.radii[0], u.radii[-1]), 1: (u.eta[0], u.eta[-1]),
+             2: (0.0, below_2pi, 2 * math.pi), 3: (0.0, below_2pi, 2 * math.pi)}
+    block = 0
+    for axis, values in edges.items():
+        for v in values:
+            pts[block:block + 50, axis] = v
+            block += 50
+    nodes = rng.integers(0, [len(u.radii), len(u.eta), u.n_phi, u.n_phi], (200, 4))
+    pts[block:block + 200] = np.column_stack(
+        [u.radii[nodes[:, 0]], u.eta[nodes[:, 1]], u.phi[nodes[:, 2]], u.phi[nodes[:, 3]]])
+    phi_ext = np.append(u.phi, 2 * math.pi)
+    for density in (u.energy_density(), rng.normal(size=u.energy_density().shape)):
+        interp = RegularGridInterpolator(
+            (u.radii, u.eta, phi_ext, phi_ext),
+            np.pad(density, ((0, 0), (0, 0), (0, 1), (0, 1)), mode="wrap"),
+            bounds_error=False,
+            fill_value=None,
+        )
+        got = jh._periodic_multilinear(density, u.radii, u.eta, u.phi, pts.T)
+        assert got.tobytes() == interp(pts).tobytes()
 
 
 def test_tangent_map_gap_homogeneous(u_hopf):
