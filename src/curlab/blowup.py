@@ -344,9 +344,9 @@ def tangent_directions(C: cur.TriCurrent, x0, r: float,
                        threshold: float = 0.1) -> DirectionCluster:
     """Direction classes hit by the slice of C at radius r around x0.
 
-    Slice chord midpoints are projectivized and clustered by single
-    linkage at the given angular threshold, each weighted by its length
-    and multiplicity over 2 pi r; a rerun at half the threshold flags
+    Slice arc midpoints are projectivized and clustered by single
+    linkage at the given angular threshold, each weighted by its arc
+    length and multiplicity over 2 pi r; a rerun at half the threshold flags
     instability instead of hiding it (`_direction_clusters`, which builds
     one distance matrix for both linkages). The threshold must be a
     positive finite angle.
@@ -426,8 +426,9 @@ def cone_concentration(C: cur.TriCurrent, x0, r: float,
 
 
 def _slice_energy(C: cur.TriCurrent, S: cur.Polyline1Current, x0) -> float:
-    """Integral of the projection energy density along a slice of C, each
-    chord with the tangent of the triangle it lies on."""
+    """Integral of the projection energy density along a slice of C by the
+    midpoint rule on each arc, with the tangent of the triangle it lies
+    on."""
     if len(S) == 0:
         return 0.0
     fn = gradient_energy_density(C, x0)

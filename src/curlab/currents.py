@@ -129,14 +129,16 @@ class TriCurrent:
 class Polyline1Current:
     """Oriented polygonal 1-current with integer multiplicities.
 
-    `dropped` counts the sub-triangles a slice could not resolve into
-    chords at its depth cap (see `slice_sphere`); it is 0 otherwise.
-    `owners`, set on a slice, holds the index of the triangle each segment
-    lies on; it is None otherwise.
+    A segment joins two points and carries a length and a midpoint:
+    `lengths` and `midpoints`, each one row per segment, or the chord's
+    when not given. A slice gives the lengths and midpoints of the arcs
+    its segments stand for, so `mass`, `lengths` and `midpoints` measure
+    the arcs. `owners`, set on a slice, holds the index of the triangle
+    each segment lies on; it is None otherwise.
     """
 
     def __init__(self, points, segments, multiplicities, ordered=False,
-                 dropped=0, owners=None):
+                 owners=None, lengths=None, midpoints=None):
         P = np.array(points, dtype=float)
         S = np.array(segments, dtype=int).reshape(-1, 2)
         M = np.array(multiplicities, dtype=int).reshape(-1)
@@ -150,25 +152,24 @@ class Polyline1Current:
         self.segments = S
         self.multiplicities = M
         self.ordered = ordered  # segments form a traversal (loop output)
-        self.dropped = dropped
         self.owners = None if owners is None else np.asarray(owners, dtype=int)
+        a, b = (P[S[:, k]] if len(S) else np.zeros((0, self.m)) for k in (0, 1))
+        self._lengths = (np.linalg.norm(b - a, axis=1) if lengths is None
+                         else np.asarray(lengths, dtype=float))
+        self._midpoints = (0.5 * (a + b) if midpoints is None
+                           else np.asarray(midpoints, dtype=float))
 
     def __len__(self):
         return len(self.segments)
 
     def lengths(self) -> np.ndarray:
-        if len(self.segments) == 0:
-            return np.zeros(0)
-        d = self.points[self.segments[:, 1]] - self.points[self.segments[:, 0]]
-        return np.linalg.norm(d, axis=1)
+        return self._lengths
 
     def mass(self) -> float:
         return float(np.sum(self.lengths() * self.multiplicities))
 
     def midpoints(self) -> np.ndarray:
-        return 0.5 * (
-            self.points[self.segments[:, 0]] + self.points[self.segments[:, 1]]
-        )
+        return self._midpoints
 
     def signed_degrees(self) -> np.ndarray:
         deg = np.zeros(len(self.points))
@@ -305,18 +306,21 @@ def _distances(x, center):
 
 
 def _effective_region(C: TriCurrent, R: Region | None) -> Region:
+    """R within the clip ball of C, if any: a ball or an annulus about the
+    clip ball's center (the origin) keeps its kind, with its outer radius
+    capped at the clip radius; other regions become intersections."""
     if R is None:
         R = Region.full()
-    if C.clip_radius is None:
+    clip = C.clip_radius
+    if clip is None:
         return R
-    clip = Region.ball(np.zeros(C.m), C.clip_radius)
     if R.kind == "full":
-        return clip
-    if R.kind == "ball" and not np.any(R.center) and R.radius <= C.clip_radius:
-        return R
-    if R.kind == "annulus" and not np.any(R.center) and R.outer <= C.clip_radius:
-        return R
-    return Region.intersect(R, clip)
+        return Region.ball(np.zeros(C.m), clip)
+    if R.kind == "ball" and not np.any(R.center):
+        return R if R.radius <= clip else Region.ball(R.center, clip)
+    if R.kind == "annulus" and not np.any(R.center) and R.inner < clip:
+        return R if R.outer <= clip else Region.annulus(R.center, R.inner, clip)
+    return Region.intersect(R, Region.ball(np.zeros(C.m), clip))
 
 
 def _plane_sections(C: TriCurrent, V, idx, r: float):
@@ -467,7 +471,8 @@ def mass_ladder(C: TriCurrent, center, radii, axes=None) -> np.ndarray:
 
     The same numbers as `mass` region by region, from one `_clip_sweep`
     over the radii whose region stays a plain ball or cylinder under the
-    clip ball of C; the others go through `_subdiv_mass`.
+    clip ball of C (`_effective_region`, which caps a concentric ball at
+    the clip radius); the others go through `_subdiv_mass`.
     """
     radii = np.asarray(radii, dtype=float)
     if axes is None:
@@ -479,8 +484,9 @@ def mass_ladder(C: TriCurrent, center, radii, axes=None) -> np.ndarray:
     out = np.empty(len(radii))
     for k in np.nonzero(~plain)[0]:
         out[k] = _subdiv_mass(C, effective[k])
-    sweep = _clip_sweep(C, center, radii[plain], axes)
-    for k, areas in zip(np.nonzero(plain)[0], sweep):
+    plain = np.nonzero(plain)[0]
+    sweep = _clip_sweep(C, center, [effective[k].radius for k in plain], axes)
+    for k, areas in zip(plain, sweep):
         out[k] = np.sum(areas * C.multiplicities)
     return out
 
@@ -511,12 +517,9 @@ def _midpoint_children(corners):
     return np.split(_children(corners, _midpoints(corners)), 4)
 
 
-# base-4 digits a sub-triangle's path key holds, most significant first
-_PATH_DIGITS = 30
-
-
 def _subdivide(tri, val, owner, area, value_of, leaf_rule):
-    """Level-synchronous midpoint subdivision of a frontier of sub-triangles.
+    """Level-synchronous midpoint subdivision of a frontier of sub-triangles,
+    the partition of `_subdiv_leaves`.
 
     The frontier is held as corners (n, 3, m), a value per corner
     (n, 3, ...), the index of the owning triangle and the area. At each
@@ -528,16 +531,13 @@ def _subdivide(tri, val, owner, area, value_of, leaf_rule):
     (n, 3, m))` on its three edge midpoints only, and its children inherit
     the values of the corners they share with it. The rule must retire
     every sub-triangle by some depth. Returns the leaves' corners, corner
-    values, owners, areas, path keys and kept arrays, each concatenated
-    over the depths. A path key holds the child indices from the owner down
-    as base-4 digits, most significant first, so sorting the leaves by
-    owner and key puts them in depth-first order.
+    values, owners, areas and kept arrays, each concatenated over the
+    depths.
     """
-    path = np.zeros(len(tri), dtype=np.int64)
     leaves = []
     for depth in itertools.count():
         done, kept = leaf_rule(depth, tri, val, area)
-        leaves.append((tri[done], val[done], owner[done], area[done], path[done])
+        leaves.append((tri[done], val[done], owner[done], area[done])
                       + tuple(k[done] for k in kept))
         if np.all(done):
             return [np.concatenate(col) for col in zip(*leaves)]
@@ -548,8 +548,6 @@ def _subdivide(tri, val, owner, area, value_of, leaf_rule):
         val = _children(val[split], value_of(mids))
         owner = np.tile(owner[split], 4)
         area = np.tile(area[split] / 4.0, 4)
-        step = 4 ** (_PATH_DIGITS - 1 - depth)
-        path = np.concatenate([path[split] + k * step for k in range(4)])
 
 
 _MASS_MAX_DEPTH = 9
@@ -588,7 +586,7 @@ def _subdiv_leaves(C: TriCurrent, R: Region, rel_tol: float = 1e-4):
         return (settled & (depth >= 2)) | capped, (cin,)
 
     owner = np.nonzero(~(all_in | all_out))[0]
-    tri, _, owner, area, _, cin = _subdivide(
+    tri, _, owner, area, cin = _subdivide(
         corners[owner], verts_in[owner], owner, C.areas[owner], R.indicator,
         is_leaf,
     )
@@ -784,6 +782,38 @@ def _graded_wedges(lo, hi, poles):
             np.concatenate([hi[keep], theta[rows, k + 1]])[order])
 
 
+def _half_planes(xy):
+    """The edges of planar triangles xy (n, 3, 2) as half-planes: edge k
+    runs from corner k to corner k + 1 (E, (n, 3, 2)); orient (n,) is 1
+    where the corners turn counterclockwise and -1 otherwise; a point p
+    lies in the triangle where normals . p >= h on every edge, with the
+    inward normals (n, 3, 2) and offsets h (n, 3) of `_ray_limits`."""
+    E = xy[:, [1, 2, 0]] - xy
+    orient = np.where(
+        E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0] < 0.0, -1.0, 1.0
+    )
+    normals = orient[:, None, None] * np.stack([-E[..., 1], E[..., 0]], axis=2)
+    return E, orient, normals, np.einsum("nkj,nkj->nk", normals, xy)
+
+
+def _circle_crossings(xy, E, rad):
+    """The angles about the origin at which the edges E (n, 3, 2) of the
+    planar triangles xy (n, 3, 2) cross the circles |p| = rad (n,): the
+    roots 0 < t < 1 of |xy_k + t E_k|^2 = rad^2, two slots per edge, as
+    (n, 6) with nan in an empty slot."""
+    qa = np.einsum("nkj,nkj->nk", E, E)
+    qb = np.einsum("nkj,nkj->nk", xy, E)
+    pp = np.einsum("nkj,nkj->nk", xy, xy)
+    disc = qb * qb - qa * (pp - (rad * rad)[:, None])
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    out = []
+    for t in ((-qb - sq) / qa, (-qb + sq) / qa):
+        hit = (disc > 0.0) & (t > 0.0) & (t < 1.0)
+        p = xy + t[..., None] * E
+        out.append(np.where(hit, np.arctan2(p[..., 1], p[..., 0]), np.nan))
+    return np.concatenate(out, axis=1)
+
+
 def _section_wedges(xy, inner, outer):
     """Split each planar section {p in triangle : inner <= |p| <= outer}
     into sub-wedges about the origin on which both radial limits are
@@ -799,37 +829,22 @@ def _section_wedges(xy, inner, outer):
     and the inward edge normals (n, 3, 2) and offsets (n, 3) for
     `_ray_limits`.
     """
-    n = len(xy)
-    E = xy[:, [1, 2, 0]] - xy  # edge k runs from corner k to corner k + 1
-    orient = np.where(
-        E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0] < 0.0, -1.0, 1.0
-    )
-    normals = orient[:, None, None] * np.stack([-E[..., 1], E[..., 0]], axis=2)
-    h = np.einsum("nkj,nkj->nk", normals, xy)
-    breaks = [np.arctan2(xy[..., 1], xy[..., 0])]
-    qa = np.einsum("nkj,nkj->nk", E, E)
-    qb = np.einsum("nkj,nkj->nk", xy, E)
-    pp = np.einsum("nkj,nkj->nk", xy, xy)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for rad in (inner, outer):
-            disc = qb * qb - qa * (pp - (rad * rad)[:, None])
-            sq = np.sqrt(np.maximum(disc, 0.0))
-            for t in ((-qb - sq) / qa, (-qb + sq) / qa):
-                hit = (disc > 0.0) & (t > 0.0) & (t < 1.0)
-                p = xy + t[..., None] * E
-                breaks.append(np.where(hit, np.arctan2(p[..., 1], p[..., 0]), np.nan))
-    breaks.append(np.full((n, 2), [-np.pi, np.pi]))
+    E, _, normals, h = _half_planes(xy)
+    breaks = [np.arctan2(xy[..., 1], xy[..., 0]),
+              _circle_crossings(xy, E, inner), _circle_crossings(xy, E, outer),
+              np.full((len(xy), 2), [-np.pi, np.pi])]
     theta = np.sort(np.concatenate(breaks, axis=1), axis=1)  # nan last
     lo, hi = theta[:, :-1], theta[:, 1:]
     a, b, ia, ib = _ray_limits(normals, h, inner, outer, 0.5 * (lo + hi))
-    reach = np.sqrt(pp.max(axis=1))
+    reach = np.sqrt(np.einsum("nkj,nkj->nk", xy, xy).max(axis=1))
     keep = (hi > lo) & (b - a > _SECTION_EMPTY * reach[:, None])
     rows, cols = np.nonzero(keep)
     lo, hi = lo[rows, cols], hi[rows, cols]
     # the poles of the edge limits, unless the edge line is too close to
     # the origin for its sliver to matter
     along = np.arctan2(E[..., 1], E[..., 0])
-    thick = np.abs(h) > _SECTION_THIN * reach[:, None] * np.sqrt(qa)
+    thick = (np.abs(h) > _SECTION_THIN * reach[:, None]
+             * np.sqrt(np.einsum("nkj,nkj->nk", E, E)))
     poles = []
     for e in (ia[rows, cols], ib[rows, cols]):
         edge = np.maximum(e, 0)
@@ -1011,20 +1026,21 @@ def integrate_ladder(C: TriCurrent, fn, center, radii) -> np.ndarray:
     matrix-vector product such as `tangents @ b` rounds a one-row call
     differently.
 
-    The radii whose region stays a plain ball under the clip ball of C go
-    through one `_shell_integrals`, which evaluates the quadrature of the
-    triangles inside the balls once for all of them; the others go through
-    `integrate`. The integral counterpart of `mass_ladder`.
+    The radii whose region stays a plain ball under the clip ball of C
+    (`_effective_region`, which caps a concentric ball at the clip radius)
+    go through one `_shell_integrals`, which evaluates the quadrature of
+    the triangles inside the balls once for all of them; the others go
+    through `integrate`. The integral counterpart of `mass_ladder`.
     """
     radii = np.asarray(radii, dtype=float)
     regions = [Region.ball(center, r) for r in radii]
-    plain = np.array([_effective_region(C, R).kind == "ball" for R in regions],
-                     dtype=bool)
+    effective = [_effective_region(C, R) for R in regions]
+    plain = np.array([E.kind == "ball" for E in effective], dtype=bool)
     out = np.empty(len(radii))
     for k in np.nonzero(~plain)[0]:
         out[k] = integrate(C, fn, regions[k])
     if np.any(plain):
-        out[plain] = _shell_integrals(C, fn, [regions[k] for k in np.nonzero(plain)[0]])
+        out[plain] = _shell_integrals(C, fn, [effective[k] for k in np.nonzero(plain)[0]])
     return out
 
 
@@ -1162,172 +1178,129 @@ def _closest_points_on_triangles(p, a, b, c):
 
 
 def _regular_slice_radius(C: TriCurrent, x0, rho: float) -> float:
+    """rho, or the first of rho (1 + k 1e-10), k < 6, that stays 1e-12 rho
+    clear of every vertex distance, so no edge is crossed at its end."""
     d = np.linalg.norm(C.vertices - np.asarray(x0, float), axis=1)
     for k in range(6):
         cand = rho * (1.0 + k * 1e-10)
-        if np.min(np.abs(d - cand)) > 1e-12:
+        if np.min(np.abs(d - cand)) > 1e-12 * cand:
             return cand
     raise ValueError("no regular slice radius found near rho")
 
 
-_SLICE_MAX_DEPTH = 8
-
-
-def _sphere_crossings(tri, rho: float):
-    """Where the edges of sub-triangles cross the sphere |x| = rho.
-
-    tri (n, 3, m) holds corners relative to the sphere's center; edge e runs
-    from corner e to corner e + 1 (mod 3). Each edge has two root slots, so
-    returns, per slot (n, 6): the walk position e + t of a crossing at edge
-    parameter 0 < t < 1 (inf in an empty slot), the point (n, 6, m), and
-    whether moving along the edge leaves the ball there.
-    """
-    n, _, m = tri.shape
-
-    def dot(u, v):  # as a stack of vector `@`s, which sums like a 1-d `@`
-        return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-    D = tri[:, [1, 2, 0]] - tri
-    qa = dot(D, D)
-    qb = dot(tri, D)
-    qc = dot(tri, tri) - rho * rho
-    disc = qb * qb - qa * qc
-    ok = (disc > 0) & (qa != 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        t = np.stack([(-qb - sq) / qa, (-qb + sq) / qa], axis=2)  # (n, 3, 2)
-    hit = ok[..., None] & (t > 0.0) & (t < 1.0)
-    t = np.where(hit, t, 0.0)
-    P = tri[:, :, None, :] + t[..., None] * D[:, :, None, :]
-    leaving = dot(P, D[:, :, None, :]) > 0.0
-    pos = np.where(hit, np.arange(3.0)[:, None] + t, np.inf)
-    return pos.reshape(n, 6), P.reshape(n, 6, m), leaving.reshape(n, 6)
-
-
 def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
-    """Slice by the sphere |x - x0| = rho: chord segments per triangle.
+    """Slice by the sphere |x - x0| = rho: circular arcs per triangle.
 
-    Chords inherit the triangle multiplicity and the orientation induced by
-    the boundary of C restricted to the ball (exit point to entry point),
-    and the result's `owners` names the triangle each chord lies on.
-
-    A (sub-)triangle meets the sphere when its closest point to x0 lies
-    inside the ball and a vertex lies outside. The triangles that
-    `_near_far` calls crossed, which hold every triangle that meets it, go
-    through `_subdivide`, which carries the distances of the corners to x0
-    down to the children: a sub-triangle that meets it retires once its
-    edges cross the sphere an even, nonzero number of times, and is split
-    otherwise (a tangency, a vertex too close to the sphere, or the sphere's
-    trace inside its face), down to depth 8. Each retired leaf pairs every
-    exit with the next entry along its boundary walk, and points closer
-    than 1e-9 are merged. Leaves still unpaired at depth 8 are dropped and
-    counted in the result's `dropped`.
+    Each triangle that `_near_far` calls crossed meets the sphere in its
+    own circle, of radius sqrt(rho^2 - d^2) about the foot of x0 in its
+    plane (`_plane_sections`). The circle is cut where the triangle's edges
+    cross it (`_circle_crossings`), and the arcs between consecutive cuts
+    whose middle lies in the triangle are the slice; a circle that no edge
+    crosses is, when inside the face, two half circles. Each arc is one
+    segment between its end points, with its exact length and midpoint
+    (`Polyline1Current.lengths`, `midpoints`). It carries the triangle's
+    multiplicity, runs counterclockwise about the foot in the triangle's
+    orientation (exit point to entry point of the boundary of C restricted
+    to the ball), and the result's `owners` names its triangle. An end
+    point is named by the edge it lies on, so the triangles on an edge
+    share it, however close two crossings are.
     """
     if rho <= 0:
         raise ValueError("slice radius must be positive")
     x0 = np.asarray(x0, dtype=float)
     rho = _regular_slice_radius(C, x0, rho)
     near, far = _near_far(C, x0, [rho])
-    # near is sqrt(q . q) for the rule's own q, so near <= rho wherever
-    # q . q < rho^2
     cand = np.nonzero((near <= rho) & (far > rho))[0]
-    corners = C.vertices[C.triangles[cand]] - x0
-
-    def rule(depth, tri, d, area):
-        q, _ = _closest_points_on_triangles(0.0, tri[:, 0], tri[:, 1], tri[:, 2])
-        far = d.max(axis=1) > rho
-        meets = (_dot(q, q) < rho * rho) & far
-        pos, pts, leaving = _sphere_crossings(tri, rho)
-        count = np.sum(np.isfinite(pos), axis=1)
-        paired = meets & (count > 0) & (count % 2 == 0)
-        done = ~meets | paired | (depth == _SLICE_MAX_DEPTH)
-        return done, (pos, pts, leaving, count, paired, meets & ~paired)
-
-    _, _, owner, _, path, pos, pts, leaving, count, paired, unpaired = _subdivide(
-        corners, _distances(corners, 0.0), cand, C.areas[cand],
-        lambda p: _distances(p, 0.0), rule,
-    )
-    dropped = int(np.sum(unpaired))
-    # leaves in depth-first order, crossings in walk order within a leaf
-    leaf = np.lexsort((path, owner))
-    leaf = leaf[paired[leaf]]
-    walk = np.argsort(pos[leaf], axis=1, kind="stable")
-    pts = np.take_along_axis(pts[leaf], walk[..., None], axis=1)
-    leaving = np.take_along_axis(leaving[leaf], walk, axis=1)
-    n = count[leaf, None]
-    slot = np.arange(6)
-    # each exit's chord runs to the next entry along the walk
-    partner = np.full(leaving.shape, -1)
-    for step in range(1, 6):
-        j = (slot + step) % n
-        entry = ~np.take_along_axis(leaving, j, axis=1)
-        partner = np.where((partner < 0) & (step < n) & entry, j, partner)
-    rows, cols = np.nonzero((slot < n) & leaving & (partner >= 0))
-    if len(rows) == 0:
-        return Polyline1Current(np.zeros((0, C.m)), np.zeros((0, 2), int), [],
-                                dropped=dropped, owners=np.zeros(0, int))
-    ends = np.stack([pts[rows, cols], pts[rows, partner[rows, cols]]], axis=1)
-    ends = ends.reshape(-1, C.m)
-    # one point per 1e-9 key, numbered in order of first appearance
-    _, first, inverse = np.unique(
-        np.round(ends / 1e-9).astype(np.int64),
-        axis=0, return_index=True, return_inverse=True,
-    )
+    hit, xy, _, rp, (foot, e, f) = _plane_sections(C, C.vertices - x0, cand, rho)
+    owner = cand[hit]
+    E, orient, normals, h = _half_planes(xy)
+    theta = _circle_crossings(xy, E, rp)
+    # a crossing is named by its edge's vertices in increasing order and
+    # its root along that order, so the triangles on an edge share it
+    start = C.triangles[owner]
+    end = start[:, [1, 2, 0]]
+    fwd = start < end
+    keys = np.stack([np.tile(np.minimum(start, end), 2),
+                     np.tile(np.maximum(start, end), 2),
+                     np.concatenate([~fwd, fwd], axis=1)], axis=2)
+    count = np.sum(np.isfinite(theta), axis=1)
+    closed = count == 0  # a circle inside the face: cut at two points of its own
+    theta[closed, :2] = (0.0, np.pi)
+    keys[closed, :2] = np.stack(np.broadcast_arrays(-1, owner[closed, None], np.arange(2)),
+                               axis=2)
+    count[closed] = 2
+    order = np.argsort(theta, axis=1)  # nan last
+    theta = np.take_along_axis(theta, order, axis=1)
+    keys = np.take_along_axis(keys, order[..., None], axis=1)
+    # the arc from each cut to the next, the last one wrapping to the first
+    slot = np.arange(theta.shape[1])
+    valid = slot < count[:, None]
+    nxt = np.where(slot + 1 < count[:, None], slot + 1, 0)
+    hi = np.take_along_axis(theta, nxt, axis=1) + np.where(nxt == 0, 2.0 * np.pi, 0.0)
+    mid = np.where(valid, 0.5 * (theta + hi), 0.0)
+    a, b, _, _ = _ray_limits(normals, h, rp, rp, mid)
+    rows, cols = np.nonzero(valid & (a <= b))
+    # counterclockwise in the triangle's orientation
+    ccw = orient[rows] > 0.0
+    cut = [np.where(ccw, cols, nxt[rows, cols]), np.where(ccw, nxt[rows, cols], cols)]
+    ang = np.stack([theta[rows, cut[0]], theta[rows, cut[1]], mid[rows, cols]], axis=1)
+    on_circle = x0 + foot[rows, None] + rp[rows, None, None] * (
+        np.cos(ang)[..., None] * e[rows, None] + np.sin(ang)[..., None] * f[rows, None])
+    # one point per key, numbered in order of first appearance
+    ends = np.stack([keys[rows, cut[0]], keys[rows, cut[1]]], axis=1).reshape(-1, 3)
+    _, first, inverse = np.unique(ends, axis=0, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=int)
     rank[np.argsort(first)] = np.arange(len(first))
-    segs = rank[inverse.reshape(-1)].reshape(-1, 2)
-    keep = segs[:, 0] != segs[:, 1]
-    owners = owner[leaf[rows]][keep]
-    return Polyline1Current(ends[np.sort(first)] + x0, segs[keep],
-                            C.multiplicities[owners], dropped=dropped,
-                            owners=owners)
+    owner = owner[rows]
+    return Polyline1Current(on_circle[:, :2].reshape(-1, C.m)[np.sort(first)],
+                            rank[inverse.reshape(-1)].reshape(-1, 2),
+                            C.multiplicities[owner], owners=owner,
+                            lengths=rp[rows] * (hi - theta)[rows, cols],
+                            midpoints=on_circle[:, 2])
 
 
 def decompose_cycle(P: Polyline1Current):
     """Split an integral 1-cycle into indecomposable unit-multiplicity loops.
 
-    Mass is conserved exactly; repeated traversals are split into copies.
+    Each loop segment keeps the length and midpoint of the segment of P it
+    traverses, so mass is conserved exactly; repeated traversals are split
+    into copies.
     """
     if not P.is_cycle():
-        why = "input is not a cycle"
-        if P.dropped:
-            why += (f" ({P.dropped} sub-triangles left unresolved at the"
-                    " slice depth cap were dropped)")
-        raise ValueError(why)
-    # adjacency: list of directed edges per start vertex
+        raise ValueError("input is not a cycle")
+    # adjacency: list of (end, segment) per start vertex
     adj = {}
-    for (a, b), mult in zip(P.segments, P.multiplicities):
+    for s, ((a, b), mult) in enumerate(zip(P.segments, P.multiplicities)):
         for _ in range(int(mult)):
-            adj.setdefault(int(a), []).append(int(b))
+            adj.setdefault(int(a), []).append((int(b), s))
     loops = []
     for start in sorted(adj):
         while adj.get(start):
             # walk until back at start with nothing left, pinching every
-            # revisit into a simple loop along the way
-            path = [start]
+            # revisit into a simple loop along the way; walk[i] is the
+            # segment from path[i] to path[i + 1]
+            path, walk = [start], []
             pos = {start: 0}
             v = start
             while adj.get(v):
-                nxt = adj[v].pop()
+                nxt, s = adj[v].pop()
+                walk.append(s)
                 if nxt in pos:
                     cut = pos[nxt]
-                    loops.append(path[cut:] + [nxt])
+                    loops.append(walk[cut:])
                     for w in path[cut + 1 :]:
                         del pos[w]
-                    path = path[: cut + 1]
+                    path, walk = path[: cut + 1], walk[:cut]
                 else:
                     path.append(nxt)
                     pos[nxt] = len(path) - 1
                 v = nxt
             if len(path) != 1:
                 raise ValueError("walk got stuck; input degrees not balanced")
-    out = []
-    for loop in loops:
-        segs = [(loop[i], loop[i + 1]) for i in range(len(loop) - 1)]
-        out.append(
-            Polyline1Current(P.points, segs, np.ones(len(segs), int), ordered=True)
-        )
-    return out
+    return [Polyline1Current(P.points, P.segments[k], np.ones(len(k), int),
+                             ordered=True, lengths=P.lengths()[k],
+                             midpoints=P.midpoints()[k])
+            for k in map(np.array, loops)]
 
 
 def loop_poincare(T: Polyline1Current, g):

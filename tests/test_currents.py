@@ -267,6 +267,28 @@ def test_dilate_mass_identity_random_meshes():
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
 
 
+def test_concentric_regions_past_the_clip_radius_are_clipped():
+    """On a dilation, a ball about the origin past the clip radius is the
+    clip ball, and an annulus reaching past it is cut there, so their
+    masses and integrals are the clip ball's to rounding (subdivision read
+    a ball of radius 1.2 as 1.9e-5 more than the whole mass)."""
+    D = cur.dilate(ex.holomorphic_graph(k=2, h=0.1), np.zeros(4), 0.5)
+    x0 = np.zeros(4)
+    total = cur.mass(D)
+    assert cur.mass(D, cur.Region.ball(x0, 1.2)) == total
+    assert np.array_equal(cur.mass_ladder(D, x0, [1.5, 1.0]), [total, total])
+    hole = cur.mass(D, cur.Region.ball(x0, 0.5))
+    assert cur.mass(D, cur.Region.annulus(x0, 0.5, 1.5)) == pytest.approx(
+        total - hole, rel=1e-14)
+
+    def fn(points, tangents):
+        return np.sum(points * points, axis=-1)
+
+    whole = cur.integrate(D, fn)
+    assert np.array_equal(cur.integrate_ladder(D, fn, x0, [1.5, 1.0]), [whole, whole])
+    assert cur.integrate(D, fn, cur.Region.ball(x0, 1.2)) == whole
+
+
 def test_slice_flat_disk(disk):
     S = cur.slice_sphere(disk, np.zeros(4), 0.5)
     loops = cur.decompose_cycle(S)
@@ -304,11 +326,13 @@ def test_slice_of_cycle_is_cycle():
 
 
 def _slice_sphere_reference(C, x0, rho):
-    """The recursive, one-triangle-at-a-time form of `cur.slice_sphere`.
-
-    Same candidates, leaf rule, depth cap, chord pairing and point merging
-    as the array form in the package; kept here as the oracle it is pinned
-    against. Returns the slice and the number of dropped sub-triangles.
+    """A recursive chord slice, one triangle at a time: a triangle whose
+    edges cross the sphere an even, nonzero number of times is cut into
+    chords from each exit to the next entry along its boundary walk, and
+    any other is split into its midpoint children, down to depth 8. Kept
+    as the oracle for the end points, orientations and multiplicities of
+    `cur.slice_sphere`'s arcs. Returns the slice and the number of
+    sub-triangles dropped at depth 8.
     """
     x0 = np.asarray(x0, dtype=float)
     rho = cur._regular_slice_radius(C, x0, rho)
@@ -393,9 +417,14 @@ def _assert_same_chords(S, ref):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_property_slice_matches_recursive_reference(seed):
-    """The array slice gives the recursive slice's chords on random
-    triangles, radii between the nearest and farthest vertex included."""
+def test_property_slice_arcs_match_clipped_area_derivative(seed):
+    """On random triangles, with radii between the nearest and farthest
+    vertex included, each triangle's arc length is (rho' / rho) dA/drho:
+    A is its exactly clipped area in the ball (`_clip_sweep`, a kernel of
+    its own), dA/drho its central difference at step 1e-7 rho, and rho'
+    the radius sqrt(rho^2 - d^2) of the circle in which its plane meets
+    the sphere. Over 23,000 seeds the two differed by at most 4e-8 rho';
+    on 300 of them the chord slice was off by up to 5.9 rho'."""
     rng = np.random.default_rng(seed)
     m = 4
     pts = rng.standard_normal((12, m))
@@ -405,55 +434,145 @@ def test_property_slice_matches_recursive_reference(seed):
     d = np.linalg.norm(C.vertices - x0, axis=1)
     rho = rng.uniform(0.5 * d.min(), d.max())
     S = cur.slice_sphere(C, x0, rho)
-    ref, dropped = _slice_sphere_reference(C, x0, rho)
-    _assert_same_chords(S, ref)
-    assert S.dropped == dropped
+    arcs = np.bincount(S.owners, weights=S.lengths(), minlength=len(C))
+    rho = cur._regular_slice_radius(C, x0, rho)
+    step = 1e-7 * rho
+    below, above = cur._clip_sweep(C, x0, [rho - step, rho + step])
+    crn = C.corners()
+    Q, _ = np.linalg.qr(np.stack([crn[:, 1] - crn[:, 0], crn[:, 2] - crn[:, 0]], axis=2))
+    rel = x0 - crn[:, 0]
+    d2 = np.einsum("ij,ij->i", rel, rel) - np.sum(np.einsum("ijk,ij->ik", Q, rel) ** 2, axis=1)
+    rp = np.sqrt(np.maximum(rho * rho - d2, 0.0))
+    want = rp / rho * (above - below) / (2 * step)
+    assert np.all(np.abs(arcs - want) <= 1e-6 * rp + 1e-9)
 
 
 @pytest.mark.parametrize("name", ["cusp", "disk", "two_lines", "graph"])
 def test_slice_matches_recursive_reference_on_shipped_meshes(name, disk, graph):
+    """Where no triangle needs subdividing, the recursive chord slice has
+    the arcs' end points, orientations and multiplicities."""
     C = {"cusp": ex.cusp, "two_lines": lambda: ex.two_lines(h=0.08),
          "disk": lambda: disk, "graph": lambda: graph}[name]()
     for rho in np.random.default_rng(3).uniform(0.02, 0.6, 4):
         S = cur.slice_sphere(C, np.zeros(4), rho)
         ref, dropped = _slice_sphere_reference(C, np.zeros(4), rho)
         _assert_same_chords(S, ref)
-        assert S.dropped == dropped == 0
+        assert dropped == 0
 
 
 @pytest.mark.parametrize("rho", [0.028529656879914187, 0.48509073565661853])
 def test_slice_cusp_near_vertex_ring(rho):
     """Triangles whose vertices all lie just outside the sphere, with an
-    edge dipping inside, carry their chords: the cusp slice is a cycle of
+    edge dipping inside, carry their arcs: the cusp slice is a cycle of
     the closed-form length 2 pi t sqrt(4 + 9 t), t^2 + t^3 = rho^2."""
     from scipy.optimize import brentq
 
     S = cur.slice_sphere(ex.cusp(), np.zeros(4), rho)
     t = brentq(lambda t: t**2 + t**3 - rho**2, 0.0, 1.0)
     assert S.is_cycle()
-    assert S.dropped == 0
     assert S.mass() == pytest.approx(2 * math.pi * t * math.sqrt(4 + 9 * t), rel=2e-2)
 
 
-def test_slice_counts_unresolved_tangency():
-    """A plane that meets the sphere in a circle far smaller than a depth-8
-    sub-triangle, inside the face: no edge crosses it at any depth, so the
-    sub-triangle holding it is dropped, counted and named by
-    decompose_cycle."""
+def _small_circle_in_a_face():
+    """A triangle whose plane meets the sphere |x| = rho in a circle of
+    radius 1e-5 inside its face, far from its edges, and rho."""
     off, radius = 1.0, 1e-5  # the plane's distance to 0, the circle's radius
-    rho = math.hypot(off, radius)
     corners = np.array([[-3.0, -2.0], [4.0, -1.5], [-0.5, 4.0]])
     V = np.column_stack([corners, np.full(3, off), np.zeros(3)])
-    C = cur.TriCurrent(V, [(0, 1, 2)], [1])
+    return cur.TriCurrent(V, [(0, 1, 2)], [1]), math.hypot(off, radius)
+
+
+def test_slice_small_circle_inside_a_face_is_closed():
+    """A circle that no edge crosses is a closed cycle of its own length;
+    the 4e-8 left is the cancellation in rho^2 - d^2 (the chord slice
+    dropped it as an unresolved sub-triangle)."""
+    C, rho = _small_circle_in_a_face()
     S = cur.slice_sphere(C, np.zeros(4), rho)
-    assert len(S) == 0
-    assert S.dropped == 1
-    ref, dropped = _slice_sphere_reference(C, np.zeros(4), rho)
-    assert dropped == 1
-    # a crafted non-cycle carrying the count
-    P = cur.Polyline1Current(np.eye(4)[:2], [(0, 1)], [1], dropped=S.dropped)
-    with pytest.raises(ValueError, match="1 sub-triangles"):
-        cur.decompose_cycle(P)
+    assert S.is_cycle()
+    assert S.mass() == pytest.approx(2 * math.pi * 1e-5, rel=1e-7)
+    (loop,) = cur.decompose_cycle(S)
+    assert loop.mass() == S.mass()
+
+
+def test_regular_slice_radius_at_small_vertex_radii():
+    """A slice radius at a vertex distance moves off it at every scale
+    (below r of about 2e-3 no radius was found, since the clearance was
+    1e-12 absolute and the steps 1e-10 relative)."""
+    cusp = ex.cusp()
+    S = cur.slice_sphere(cusp, np.zeros(4), 0.0012387060500602867)
+    assert S.is_cycle() and len(S) > 0
+    disk = ex.flat_disk(h=0.05)
+    tiny = cur.TriCurrent(1e-4 * disk.vertices, disk.triangles, disk.multiplicities)
+    d = np.linalg.norm(tiny.vertices, axis=1)
+    rings = np.unique(d[d > 0])
+    for rho in rings[[0, 3, len(rings) // 2]]:
+        S = cur.slice_sphere(tiny, np.zeros(4), rho)
+        assert S.is_cycle()
+        assert S.mass() == pytest.approx(2 * math.pi * rho, rel=1e-9)
+
+
+@pytest.mark.parametrize("name, rho", [("disk", 0.5), ("two_lines", 0.25)])
+def test_flat_slices_are_exact(name, rho, disk):
+    """Each sheet of a flat current is sliced in one great circle of length
+    2 pi rho, to rounding (chords were 1.0e-4 and 6.4e-3 short)."""
+    C = disk if name == "disk" else ex.two_lines(h=0.4)
+    loops = cur.decompose_cycle(cur.slice_sphere(C, np.zeros(4), rho))
+    assert len(loops) == (1 if name == "disk" else 2)
+    for T in loops:
+        assert T.mass() == pytest.approx(2 * math.pi * rho, rel=1e-9)
+
+
+def _cusp_closed_form(r):
+    """m(r) = M(C |_ B_r) and the slice mass of the (2, 3) cusp, with
+    s = |z| and s^4 + s^6 = r^2."""
+    from scipy.optimize import brentq
+
+    s2 = brentq(lambda t: t**2 + t**3 - r * r, 0.0, 1.0)
+    return math.pi * (2 * s2**2 + 3 * s2**3), 2 * math.pi * math.sqrt(4 * s2**2 + 9 * s2**3)
+
+
+@pytest.mark.parametrize("name, rel", [("cusp", 2e-3), ("cusp_fine", 1e-3)])
+def test_cusp_slice_mass_closed_form(name, rel, shipped):
+    """Slice masses against 2 pi sqrt(4 s^4 + 9 s^6): the mesh error was
+    at most 1.6e-3 on `cusp()` and 6.5e-4 on the 128-angle mesh."""
+    for r in (0.3, 0.1, 0.03, 0.01, 0.003):
+        S = cur.slice_sphere(shipped[name], np.zeros(4), r)
+        assert S.mass() == pytest.approx(_cusp_closed_form(r)[1], rel=rel)
+
+
+def test_cone_deficit_closed_form(shipped):
+    """The cone-comparison deficit eps(r) = (r/2) M(slice_r) - m(r), with
+    m from `mass_ladder`, against its closed form on the 128-angle cusp:
+    -0.65%, +0.82%, -0.38% and +1.33% off at these radii (chords were
+    -4.0%, -3.5%, -22% and -26% off)."""
+    radii = [0.1, 0.03, 0.01, 0.003]
+    C = shipped["cusp_fine"]
+    masses = cur.mass_ladder(C, np.zeros(4), radii)
+    for r, m in zip(radii, masses):
+        m_exact, slice_exact = _cusp_closed_form(r)
+        got = r / 2 * cur.slice_sphere(C, np.zeros(4), r).mass() - m
+        assert got == pytest.approx(r / 2 * slice_exact - m_exact, rel=0.02)
+
+
+def test_slice_never_subdivides(shipped, monkeypatch):
+    """Slices come from each triangle's circle, never from `_subdivide`;
+    their loops keep the arc lengths, so the loop masses sum to the slice
+    mass, and the loop Poincare quantities run on them."""
+
+    def no_subdivision(*args):
+        raise AssertionError("slices do not subdivide")
+
+    monkeypatch.setattr(cur, "_subdivide", no_subdivision)
+    C, rho = _small_circle_in_a_face()
+    assert cur.slice_sphere(C, np.zeros(4), rho).is_cycle()
+    for name in ("cusp", "disk", "two_lines", "graph"):
+        for rho in (0.07, 0.3):
+            S = cur.slice_sphere(shipped[name], np.zeros(4), rho)
+            loops = cur.decompose_cycle(S)
+            assert sum(T.mass() for T in loops) == pytest.approx(S.mass(), rel=1e-12)
+            for T in loops:
+                mean, lhs, rhs = cur.loop_poincare(T, lambda x: x[0])
+                assert lhs <= rhs
 
 
 def _circle_loop(rho=1.0, n=128, mult=1):
@@ -1121,19 +1240,16 @@ def _midpoint_children_reference(corners):
 def _subdivide_reference(tri, owner, area, leaf_rule):
     """Level-synchronous subdivision that hands the leaf rule the corners
     only, so the rule tests every corner of every sub-triangle."""
-    path = np.zeros(len(tri), dtype=np.int64)
     leaves = []
     for depth in itertools.count():
         done, kept = leaf_rule(depth, tri, area)
-        leaves.append((tri[done], owner[done], area[done], path[done])
+        leaves.append((tri[done], owner[done], area[done])
                       + tuple(k[done] for k in kept))
         if np.all(done):
             return [np.concatenate(col) for col in zip(*leaves)]
         tri = np.concatenate(_midpoint_children_reference(tri[~done]))
         owner = np.tile(owner[~done], 4)
         area = np.tile(area[~done] / 4.0, 4)
-        step = 4 ** (cur._PATH_DIGITS - 1 - depth)
-        path = np.concatenate([path[~done] + k * step for k in range(4)])
 
 
 def _membership_rule_reference(R, is_leaf):
@@ -1169,7 +1285,7 @@ def _subdiv_mass_levelsync_reference(C, R, rel_tol=1e-4):
         return (settled & (depth >= 2)) | capped
 
     owner = np.nonzero(~(all_in | all_out))[0]
-    tri, owner, area, _, inn = _subdivide_reference(
+    tri, owner, area, inn = _subdivide_reference(
         corners[owner], owner, C.areas[owner],
         _membership_rule_reference(R, is_leaf))
     per_triangle = np.bincount(owner, weights=area * inn[:, 3], minlength=len(C))
