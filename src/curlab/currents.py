@@ -1,16 +1,16 @@
 """Discrete integral 2-currents as oriented triangle meshes.
 
 A TriCurrent is an oriented triangulated surface in R^m with nonzero integer
-multiplicities per triangle. The module provides mass over regions (with
-exact in-plane clipping against balls and coordinate cylinders), pairing
-against 2-form fields, boundary, dilation/blow-up, spherical slicing into
-1-currents, decomposition of 1-cycles into loops, and the loop Poincare
-inequality quantities. A line-oriented mesh text format is included.
+multiplicities per triangle. The module provides mass and integrals over
+regions bounded by quadrics, on each triangle's exact planar section (balls,
+annuli and cylinders clipped exactly, cone complements and intersections cut
+by conics), pairing against 2-form fields, boundary, dilation/blow-up,
+spherical slicing into 1-currents, decomposition of 1-cycles into loops, the
+loop Poincare inequality quantities, and a line-oriented mesh text format.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,8 +66,9 @@ class TriCurrent:
 
     Vertices are points in R^m; triangles are ordered index triples carrying
     orientation; a negative multiplicity is normalized on construction by
-    reversing the triangle. An optional clip ball (always centered at the
-    origin, used by dilations) restricts every operation.
+    reversing the triangle. An optional clip ball about the origin (set by
+    dilations) restricts mass, integrate, pair, the ladders and slices;
+    `total_mass`, `boundary` and `is_cycle` describe the whole mesh.
     """
 
     def __init__(self, vertices, triangles, multiplicities, clip_radius=None):
@@ -187,11 +188,10 @@ class Polyline1Current:
 class Region:
     """A restriction region: full space, ball, annulus, coordinate cylinder,
     the complement of an epsilon-cone around a union of 2-planes, or an
-    intersection of the above.
-
-    `indicator` is the one membership test of points. Which triangles a
-    ball, annulus or cylinder holds, misses or crosses is decided apart
-    from it, once per triangle, by `_near_far`."""
+    intersection of the above. `indicator` is the one membership test of
+    points; which triangles a region holds, misses or crosses is decided
+    apart, by `_near_far` for a ball, an annulus or a cylinder, else by
+    the extremes of its conics (`_conic_sections`)."""
 
     kind: str
     center: np.ndarray | None = None
@@ -236,19 +236,19 @@ class Region:
 
     @staticmethod
     def cone_complement(center, planes, eps: float) -> "Region":
-        """Points with dist(x, union of planes) > eps * |x - center|.
-
-        Each plane is given by an (m, 2) orthonormal basis through `center`.
-        """
+        """Points with dist(x, union of planes) > eps * |x - center|, for
+        one or more planes through `center`, each an (m, 2) basis with
+        orthonormal columns (to 1e-12)."""
         if not 0 < eps < 1:
             raise ValueError("eps must lie in (0, 1)")
+        center = np.asarray(center, float)
         planes = tuple(np.asarray(p, float) for p in planes)
-        return Region(
-            "cone_complement",
-            center=np.asarray(center, float),
-            planes=planes,
-            eps=eps,
-        )
+        if center.ndim != 1 or not planes or any(
+                B.shape != (center.size, 2) or np.abs(B.T @ B - np.eye(2)).max() > 1e-12
+                for B in planes):
+            raise ValueError(f"a cone complement needs a center vector and planes, "
+                             f"({center.size}, 2) arrays with orthonormal columns")
+        return Region("cone_complement", center=center, planes=planes, eps=eps)
 
     @staticmethod
     def intersect(*parts) -> "Region":
@@ -262,38 +262,22 @@ class Region:
     def indicator(self, x: np.ndarray) -> np.ndarray:
         """Boolean membership for points, shape (..., m): for a ball, an
         annulus or a cylinder, by the distance to the center or the axis
-        (`_distances`); for a cone complement, dist(x, planes) >
-        eps |x - center|; for an intersection, inside every part."""
+        (`_distances`); for a cone complement, dist(x, planes) > eps
+        |x - center| by the quadrics of `_quadrics`; for an intersection,
+        inside every part."""
         x = np.asarray(x, dtype=float)
         if self.kind == "full":
             return np.ones(x.shape[:-1], dtype=bool)
         if self.kind == "intersect":
-            out = self.parts[0].indicator(x)
-            for part in self.parts[1:]:
-                out &= part.indicator(x)
-            return out
-        if self.kind == "ball":
-            return _distances(x, self.center) <= self.radius
-        if self.kind == "annulus":
-            d = _distances(x, self.center)
-            return (d > self.inner) & (d <= self.outer)
-        if self.kind == "cylinder":
-            axes = list(self.axes)
-            return _distances(x[..., axes], self.center[axes]) <= self.radius
+            return np.all([part.indicator(x) for part in self.parts], axis=0)
         if self.kind == "cone_complement":
-            rel = x - self.center
-            r = np.linalg.norm(rel, axis=-1)
-            dmin = np.full(x.shape[:-1], np.inf)
-            for B in self.planes:
-                proj = rel @ B  # components in the plane
-                d2 = np.maximum(
-                    np.einsum("...i,...i->...", rel, rel)
-                    - np.einsum("...i,...i->...", proj, proj),
-                    0.0,
-                )
-                dmin = np.minimum(dmin, np.sqrt(d2))
-            return dmin > self.eps * r
-        raise ValueError(f"unknown region kind {self.kind!r}")
+            w = x - self.center
+            return np.all([_dot(w, w @ M) > 0.0 for _, M, _ in _quadrics(self)], axis=0)
+        axes = list(self.axes) if self.kind == "cylinder" else slice(None)
+        d = _distances(x[..., axes], self.center[axes])
+        if self.kind == "annulus":
+            return (d > self.inner) & (d <= self.outer)
+        return d <= self.radius
 
 
 def _distances(x, center):
@@ -390,26 +374,16 @@ _NEAR_TOL = 1e-12
 
 
 def _near_far(C: TriCurrent, center, radii, axes=None):
-    """The one test of where the spheres |x - center| = r, for r in radii,
-    cross the triangles; for the cylinders over the coordinate plane
-    `axes`, where the circles about the axis cross the triangles'
-    projections to that plane.
-
-    Returns near and far, each (T,): far is the distance of a triangle's
-    farthest vertex from the center (or the axis) and near that of its
-    closest point, so a sphere of radius r holds the triangle inside when
-    far <= r, misses it when near > r, and crosses it otherwise. Every
-    point of a triangle lies within its longest edge (projected, for
-    cylinders) of the farthest vertex, so low = far - edge, lowered by
-    1e-12 of |center| + far + edge against rounding, bounds near from
-    below. The closest point (`_closest_points_on_triangles`, relative to
-    the center) is computed only for triangles with some radius in
-    [low, far); the others keep near = low, which decides every radius as
-    the closest point would. An edge-on projection (`_projected_areas`)
-    among those counts whole or not at all, by its centroid: its near and
-    far are both the distance of its projected centroid, so no radius calls
-    it crossed, and neither `_cylinder_clip` nor the section rule of
-    `_section_integrate` sees a projection without area.
+    """Where the spheres |x - center| = r, for r in radii, cross the
+    triangles (for cylinders over the plane `axes`, the circles about the
+    axis their projections): near and far (T,), the distances of a
+    triangle's closest point and farthest vertex, so radius r holds it
+    when far <= r, misses it when near > r, and crosses it otherwise.
+    low = far - longest edge (projected), lowered by 1e-12 of |center| +
+    far + edge, bounds near; the closest point is computed only where
+    some radius lies in [low, far), elsewhere near = low decides alike. An
+    edge-on projection there (`_projected_areas`) counts whole or not at
+    all, by its centroid, so no cylinder crosses a projection without area.
     """
     center = np.asarray(center, dtype=float)
     T = C.triangles
@@ -467,23 +441,19 @@ def _clip_sweep(C: TriCurrent, center, radii, axes=None):
 
 def mass_ladder(C: TriCurrent, center, radii, axes=None) -> np.ndarray:
     """Masses of C in the balls B_r(center), or in the coordinate cylinders
-    over the plane `axes`, for each r in radii.
-
-    The same numbers as `mass` region by region, from one `_clip_sweep`
-    over the radii whose region stays a plain ball or cylinder under the
-    clip ball of C (`_effective_region`, which caps a concentric ball at
-    the clip radius); the others go through `_subdiv_mass`.
+    over the plane `axes`, for each r in radii: `mass` region by region,
+    from one `_clip_sweep` over the radii whose region stays a ball or a
+    cylinder within the clip ball of C (`_effective_region`); the others,
+    intersections with it, go through `mass`.
     """
     radii = np.asarray(radii, dtype=float)
-    if axes is None:
-        regions = [Region.ball(center, r) for r in radii]
-    else:
-        regions = [Region.cylinder(center, r, axes) for r in radii]
+    regions = [Region.ball(center, r) if axes is None else Region.cylinder(center, r, axes)
+               for r in radii]
     effective = [_effective_region(C, R) for R in regions]
     plain = np.array([E.kind != "intersect" for E in effective], dtype=bool)
     out = np.empty(len(radii))
     for k in np.nonzero(~plain)[0]:
-        out[k] = _subdiv_mass(C, effective[k])
+        out[k] = mass(C, regions[k])
     plain = np.nonzero(plain)[0]
     sweep = _clip_sweep(C, center, [effective[k].radius for k in plain], axes)
     for k, areas in zip(plain, sweep):
@@ -491,141 +461,33 @@ def mass_ladder(C: TriCurrent, center, radii, axes=None) -> np.ndarray:
     return out
 
 
-# the corners of the four midpoint children, as rows of (a, b, c, m01, m12, m20)
-_CHILD_CORNERS = ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5))
-
-
-def _midpoints(corners):
-    """The edge midpoints m01, m12, m20 of each triangle in (n, 3, m)
-    corners, as (n, 3, m)."""
-    return 0.5 * (corners + corners[:, [1, 2, 0]])
-
-
-def _children(rows, mids):
-    """Rows (4n, 3, ...) of the four midpoint children of n triangles, one
-    child after another, from the rows of their corners and of their edge
-    midpoints, each (n, 3, ...)."""
-    both = np.concatenate([rows, mids], axis=1)
-    out = np.empty((4,) + rows.shape, dtype=both.dtype)
-    for k, child in enumerate(_CHILD_CORNERS):
-        np.take(both, child, axis=1, out=out[k])
-    return out.reshape((-1,) + rows.shape[1:])
-
-
 def _midpoint_children(corners):
     """The four midpoint children of each triangle in (n, 3, m) corners."""
-    return np.split(_children(corners, _midpoints(corners)), 4)
-
-
-def _subdivide(tri, val, owner, area, value_of, leaf_rule):
-    """Level-synchronous midpoint subdivision of a frontier of sub-triangles,
-    the partition of `_subdiv_leaves`.
-
-    The frontier is held as corners (n, 3, m), a value per corner
-    (n, 3, ...), the index of the owning triangle and the area. At each
-    depth `leaf_rule(depth, tri, val, area)` is called once on the whole
-    frontier and returns a mask of the sub-triangles that retire as leaves
-    and a tuple of arrays with one row per sub-triangle, which the leaves
-    keep. The others are split into their four midpoint children, each
-    owning a quarter of the area: a split evaluates `value_of(points
-    (n, 3, m))` on its three edge midpoints only, and its children inherit
-    the values of the corners they share with it. The rule must retire
-    every sub-triangle by some depth. Returns the leaves' corners, corner
-    values, owners, areas and kept arrays, each concatenated over the
-    depths.
-    """
-    leaves = []
-    for depth in itertools.count():
-        done, kept = leaf_rule(depth, tri, val, area)
-        leaves.append((tri[done], val[done], owner[done], area[done])
-                      + tuple(k[done] for k in kept))
-        if np.all(done):
-            return [np.concatenate(col) for col in zip(*leaves)]
-        split = ~done
-        tri = tri[split]
-        mids = _midpoints(tri)
-        tri = _children(tri, mids)
-        val = _children(val[split], value_of(mids))
-        owner = np.tile(owner[split], 4)
-        area = np.tile(area[split] / 4.0, 4)
-
-
-_MASS_MAX_DEPTH = 9
-
-
-def _subdiv_leaves(C: TriCurrent, R: Region, rel_tol: float = 1e-4):
-    """The partition of C that `_subdiv_mass` and `integrate` share for a
-    region they do not clip exactly: subdivision against the indicator.
-
-    A (sub-)triangle is settled when its three vertices and its centroid are
-    all inside R, or all outside. The others form the frontier that
-    `_subdivide` splits level by level, carrying the membership of the
-    corners, so each split tests its three edge midpoints and each
-    sub-triangle its centroid.
-    Leaf rule for a sub-triangle at depth d: from d = 2 on, a settled one
-    retires (at d = 0 and 1 it is split even if settled); at d = 9, or once
-    its area is at most rel_tol^2 * max(total mass, 1e-12), it retires
-    whatever its corners. Every leaf counts as inside when its centroid is.
-
-    Returns the mask (T,) of the triangles settled inside at the top, and
-    the leaves of the others: corners (n, 3, m), owning triangle, area and
-    whether the centroid is inside, each (n,).
-    """
-    total = C.total_mass()
-    corners = C.corners()
-    verts_in = R.indicator(corners)
-    cents_in = R.indicator(C.centroids)
-    all_in = np.all(verts_in, axis=1) & cents_in
-    all_out = np.all(~verts_in, axis=1) & ~cents_in
-    small = rel_tol * rel_tol * max(total, 1e-12)
-
-    def is_leaf(depth, tri, verts, area):
-        cin = R.indicator(tri.mean(axis=1))
-        settled = (np.all(verts, axis=1) & cin) | (~np.any(verts, axis=1) & ~cin)
-        capped = (depth == _MASS_MAX_DEPTH) | (area <= small)
-        return (settled & (depth >= 2)) | capped, (cin,)
-
-    owner = np.nonzero(~(all_in | all_out))[0]
-    tri, _, owner, area, cin = _subdivide(
-        corners[owner], verts_in[owner], owner, C.areas[owner], R.indicator,
-        is_leaf,
-    )
-    return all_in, (tri, owner, area, cin)
-
-
-def _subdiv_mass(C: TriCurrent, R: Region, rel_tol: float = 1e-4) -> float:
-    """Mass over a general region on the partition of `_subdiv_leaves`:
-    the areas of the triangles settled inside, and of every leaf whose
-    centroid is inside, summed per triangle and then weighted by its
-    multiplicity."""
-    all_in, (_, owner, area, cin) = _subdiv_leaves(C, R, rel_tol)
-    acc = float(np.sum(C.areas[all_in] * C.multiplicities[all_in]))
-    per_triangle = np.bincount(owner, weights=area * cin, minlength=len(C))
-    return acc + float(per_triangle @ C.multiplicities)
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+    return [np.stack(child, axis=1)
+            for child in ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))]
 
 
 def mass(C: TriCurrent, R: Region | None = None) -> float:
-    """Mass of C restricted to a region, M(C |_ R).
-
-    Ball, annulus and cylinder restrictions are clipped exactly in each
-    triangle's plane (the boundary meets a plane in a circle), by the one-
-    or two-radius `_clip_sweep`; other regions go through level-synchronous
-    subdivision against the membership indicator (`_subdiv_mass`).
+    """Mass of C restricted to a region, M(C |_ R): balls, annuli and
+    cylinders clipped exactly in each triangle's plane by `_clip_sweep`;
+    for other regions, the triangles inside R whole and those its boundary
+    crosses (`_conic_split`) by the integral of 1 on their exact conic
+    sections (`_section_integrate`).
     """
     R = _effective_region(C, R)
     mult = C.multiplicities
-    if R.kind == "full":
-        return float(np.sum(C.areas * mult))
-    if R.kind == "ball":
-        (areas,) = _clip_sweep(C, R.center, [R.radius])
+    if R.kind in ("ball", "cylinder"):
+        axes = R.axes if R.kind == "cylinder" else None
+        (areas,) = _clip_sweep(C, R.center, [R.radius], axes)
         return float(np.sum(areas * mult))
     if R.kind == "annulus":
         outer, inner = _clip_sweep(C, R.center, [R.outer, R.inner])
         return float(np.sum((outer - inner) * mult))
-    if R.kind == "cylinder":
-        (areas,) = _clip_sweep(C, R.center, [R.radius], R.axes)
-        return float(np.sum(areas * mult))
-    return _subdiv_mass(C, R)
+    inside, crossed = (slice(None), []) if R.kind == "full" else _conic_split(C, R)
+    return (float(np.sum(C.areas[inside] * mult[inside]))
+            + _section_integrate(C, None, R, crossed))
 
 
 def _eval_form_grouped(psi, points: np.ndarray) -> np.ndarray:
@@ -679,17 +541,6 @@ def _refined_sum(vals, areas, mults):
     return float(np.sum(est * areas * mults))
 
 
-def _quad_integrate(corners, tangents, areas, mults, fn):
-    """Order-7 quadrature of a scalar field with one adaptive refinement pass.
-
-    fn(points (T, 7, m), tangents (T, n2)) -> (T, 7) values, as in
-    `integrate`.
-    """
-    if len(corners) == 0:
-        return 0.0
-    return _refined_sum(_quad_values(corners, tangents, fn), areas, mults)
-
-
 # Gauss-Legendre nodes in angle and in radius per sub-wedge of a section
 _SECTION_NODES = (8, 6)
 _GL_THETA, _GL_RHO = (np.polynomial.legendre.leggauss(n) for n in _SECTION_NODES)
@@ -733,23 +584,23 @@ def _ray_limits(normals, h, inner, outer, theta):
     return a, b, ia - 1, ib - 1
 
 
-def _graded_wedges(lo, hi, poles):
+def _graded_wedges(lo, hi, poles, depth=0.0):
     """Split sub-wedges [lo, hi] (W,) geometrically toward the nearest
-    pole of their edge limits beyond each end, so each piece is no longer
-    than `_SECTION_GRADE` times its distance to the pole.
+    pole of their radial limits beyond each end, so each piece is no
+    longer than `_SECTION_GRADE` times its distance to the pole.
 
-    An edge limit h / (n . dir) is analytic in the angle but has poles at
-    the two angles parallel to the edge; an edge line that passes close to
-    the origin puts one just past a sub-wedge's end, where the limit turns
-    sharply over an angle of about its distance to the origin over the
-    distance to the edge's end. poles (W, k) holds the pole angles of each
-    sub-wedge's edge limits (nan for none). Returns the pieces' wedge
-    index, lo and hi.
+    An edge limit h / (n . dir) has poles at the two angles parallel to the
+    edge, one just past a sub-wedge's end if the edge line passes close to
+    the origin. poles (W, k) holds the real parts of the poles of each
+    sub-wedge's limits (nan for none), and depth their distance from the
+    real axis. Returns the pieces' wedge, lo and hi.
     """
     two_pi = 2.0 * np.pi
     width = hi - lo
-    below = np.nanmin(np.mod(lo[:, None] - poles, two_pi), axis=1, initial=np.inf)
-    above = np.nanmin(np.mod(poles - hi[:, None], two_pi), axis=1, initial=np.inf)
+    below = np.nanmin(np.hypot(np.mod(lo[:, None] - poles, two_pi), depth), axis=1,
+                      initial=np.inf)
+    above = np.nanmin(np.hypot(np.mod(poles - hi[:, None], two_pi), depth), axis=1,
+                      initial=np.inf)
     graded = [gap * _SECTION_GRADE < width for gap in (below, above)]
     todo = np.nonzero(graded[0] | graded[1])[0]
     if len(todo) == 0:
@@ -796,46 +647,210 @@ def _half_planes(xy):
     return E, orient, normals, np.einsum("nkj,nkj->nk", normals, xy)
 
 
-def _circle_crossings(xy, E, rad):
-    """The angles about the origin at which the edges E (n, 3, 2) of the
-    planar triangles xy (n, 3, 2) cross the circles |p| = rad (n,): the
-    roots 0 < t < 1 of |xy_k + t E_k|^2 = rad^2, two slots per edge, as
-    (n, 6) with nan in an empty slot."""
-    qa = np.einsum("nkj,nkj->nk", E, E)
-    qb = np.einsum("nkj,nkj->nk", xy, E)
-    pp = np.einsum("nkj,nkj->nk", xy, xy)
-    disc = qb * qb - qa * (pp - (rad * rad)[:, None])
+def _edge_crossings(xy, E, qa, qb, qc):
+    """The angles at which the edges E of planar triangles xy (..., 3, 2)
+    cross a curve qa t^2 + 2 qb t + qc = 0 (..., 3) along xy_k + t E_k:
+    two slots per edge (..., 6), nan for no root 0 < t < 1."""
+    disc = qb * qb - qa * qc
     sq = np.sqrt(np.maximum(disc, 0.0))
     out = []
     for t in ((-qb - sq) / qa, (-qb + sq) / qa):
         hit = (disc > 0.0) & (t > 0.0) & (t < 1.0)
         p = xy + t[..., None] * E
         out.append(np.where(hit, np.arctan2(p[..., 1], p[..., 0]), np.nan))
-    return np.concatenate(out, axis=1)
+    return np.concatenate(out, axis=-1)
 
 
-def _section_wedges(xy, inner, outer):
-    """Split each planar section {p in triangle : inner <= |p| <= outer}
-    into sub-wedges about the origin on which both radial limits are
-    analytic in the angle.
+def _circle_crossings(xy, E, rad):
+    """`_edge_crossings` of the circles |p| = rad (n,)."""
+    pp = np.einsum("nkj,nkj->nk", xy, xy)
+    return _edge_crossings(xy, E, np.einsum("nkj,nkj->nk", E, E),
+                           np.einsum("nkj,nkj->nk", xy, E), pp - (rad * rad)[:, None])
 
-    xy (n, 3, 2) are the corners about the origin, inner and outer (n,).
-    The breakpoints are the corners' angles, the angles where an edge
-    crosses either circle, and +-pi. Sub-wedges whose radial interval at
-    the middle angle is empty, or shorter than `_SECTION_EMPTY` times the
-    farthest corner's distance, are dropped; those whose edge limits turn
-    sharply near an end are graded toward it (`_graded_wedges`). Returns
-    the triangle of each sub-wedge (G,), its angles theta0 < theta1 (G,),
-    and the inward edge normals (n, 3, 2) and offsets (n, 3) for
-    `_ray_limits`.
+
+def _quadrics(R: Region):
+    """R as where (x - c)^T M (x - c) + k > 0 for each returned (c, M, k):
+    a ball's or cylinder's radius, an annulus's two, a cone M = (1 - eps^2)
+    I - B B^T per plane B, or all those of an intersection's parts."""
+    if R.kind in ("full", "intersect"):
+        return [q for part in R.parts for q in _quadrics(part)]
+    eye = np.eye(len(R.center))
+    if R.kind == "ball":
+        return [(R.center, -eye, R.radius ** 2)]
+    if R.kind == "annulus":
+        return [(R.center, eye, -R.inner ** 2), (R.center, -eye, R.outer ** 2)]
+    if R.kind == "cylinder":
+        return [(R.center, -eye[:, list(R.axes)] @ eye[list(R.axes)], R.radius ** 2)]
+    return [(R.center, (1.0 - R.eps ** 2) * eye - B @ B.T, 0.0) for B in R.planes]
+
+
+def _edge_quadratics(xy, E, conics):
+    """Conics along the edges xy_k + t E_k of planar triangles (n, 3, 2):
+    qa t^2 + 2 qb t + qc, each (n, J, 3)."""
+    a00, a01, a11, b0, b1, c = (v[..., None] for v in conics[:6])
+    x, y, ex, ey = xy[:, None, :, 0], xy[:, None, :, 1], E[:, None, :, 0], E[:, None, :, 1]
+    ax, ay = a00 * x + a01 * y + b0, a01 * x + a11 * y + b1  # A p + b
+    return (ex * (a00 * ex + a01 * ey) + ey * (a01 * ex + a11 * ey), ex * ax + ey * ay,
+            x * (ax + b0) + y * (ay + b1) + c)
+
+
+def _conic_centers(conics):
+    """The centers -A^-1 b of conics, as x and y, and det A."""
+    a00, a01, a11, b0, b1 = conics[:5]
+    det = a00 * a11 - a01 * a01
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (a01 * b1 - a11 * b0) / det, (a01 * b0 - a00 * b1) / det, det
+
+
+def _conic_sections(C: TriCurrent, R: Region, idx):
+    """Where triangles idx meet R: each quadric of `_quadrics` meets a
+    plane in a conic p.A p + 2 b.p + c, positive on R's side, with p about
+    the first conic's center if an ellipse within 4 times the farthest
+    corner's distance (a cylinder's axis), else the foot of the first
+    quadric's center. Returns the corners (n, 3, 2), the frame (origin, e,
+    f) mapping p to origin + p_0 e + p_1 f, the conics as (n, J) arrays
+    A_00, A_01, A_11, b_0, b_1, c, and which are positive, and which
+    negative, on the whole triangle, by their extremes on its corners,
+    edges and center within 1e-13 of the spread (touching is not crossing).
+    """
+    centers, M, k = (np.array(col) for col in zip(*_quadrics(R)))
+    _, xy, _, _, (foot, e, f) = _plane_sections(C, C.vertices - centers[0], idx, np.inf)
+    Me, Mf = e @ M, f @ M  # (J, n, m); M is symmetric
+    A = [_dot(u, v).T for u, v in ((e, Me), (e, Mf), (f, Mf))]
+
+    def linear(origin):  # b and c about origin
+        w = origin - centers[:, None]
+        Mw = w @ M
+        return _dot(e, Mw).T, _dot(f, Mw).T, (_dot(w, Mw) + k[:, None]).T
+
+    origin = centers[0] + foot
+    px, py, det = _conic_centers([v[:, 0] for v in A + list(linear(origin)[:2])])
+    far = np.sqrt(np.einsum("nkj,nkj->nk", xy, xy).max(axis=1))
+    near = (det > 0.0) & (np.hypot(px, py) <= 4.0 * far)
+    shift = np.where(near[:, None], np.stack([px, py], axis=1), 0.0)
+    origin = origin + shift[:, :1] * e + shift[:, 1:] * f
+    xy = xy - shift[:, None]
+    conics = (*A, *linear(origin))
+    E, _, normals, h = _half_planes(xy)
+    qa, qb, qc = _edge_quadratics(xy, E, conics)
+    px, py, _ = _conic_centers(conics)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -qb / qa
+        in_tri = np.all(normals[:, None, :, 0] * px[..., None]
+                        + normals[:, None, :, 1] * py[..., None] >= h[:, None], axis=-1)
+        vals = np.concatenate([
+            qc, np.where((t > 0.0) & (t < 1.0), qc + qb * t, np.nan),
+            np.where(in_tri, conics[5] + conics[3] * px + conics[4] * py, np.nan)[..., None]],
+            axis=-1)
+    lo, hi = np.fmin.reduce(vals, axis=-1), np.fmax.reduce(vals, axis=-1)  # nan for none
+    neg = hi <= 1e-13 * (hi - lo)
+    return xy, (origin, e, f), conics, (lo >= -1e-13 * (hi - lo)) & ~neg, neg
+
+
+def _conic_split(C: TriCurrent, R: Region):
+    """The triangles inside R (mask) and those its boundary crosses
+    (indices), by `_conic_sections`."""
+    _, _, _, pos, neg = _conic_sections(C, R, np.arange(len(C)))
+    inside = pos.all(axis=1)
+    return inside, np.nonzero(~inside & ~neg.any(axis=1))[0]
+
+
+def _ray_roots(conics, theta):
+    """The roots rho (n, k, J, 2) of each conic along the rays at angles
+    theta (n, k): al rho^2 + 2 be rho + c, al = u.A u and be = b.u for the
+    ray's direction u; nan for none."""
+    a00, a01, a11, b0, b1, c = (v[:, None] for v in conics)
+    u, v = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    al, be = a00 * u * u + 2.0 * a01 * u * v + a11 * v * v, b0 * u + b1 * v
+    disc = be * be - al * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qq = -(be + np.copysign(np.sqrt(disc), be))
+        roots = np.stack([qq / al, c / qq], axis=-1)
+    return np.where((disc >= 0.0)[..., None] & np.isfinite(roots), roots, np.nan)
+
+
+def _branch_angles(P, Q, S):
+    """The zeros of P cos^2 + 2 Q cos sin + S sin^2 in the complex angle:
+    their real parts in [-pi, pi) and their distances from the real axis,
+    each (..., 4), nan where it is constant."""
+    half, amp = 0.5 * (P - S), np.hypot(0.5 * (P - S), Q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.where(amp > 0.0, -0.5 * (P + S) / amp, np.nan)  # cos(2 theta - phi)
+    phi, acos = np.arctan2(Q, half)[..., None], np.arccos(np.clip(v, -1.0, 1.0))[..., None]
+    re = 0.5 * (phi + acos * [1, -1, 1, -1]) + np.pi * np.array([0, 0, 1, 1])
+    im = 0.5 * np.arccosh(np.maximum(np.abs(v), 1.0))[..., None]
+    return np.mod(re + np.pi, 2.0 * np.pi) - np.pi, np.repeat(im, 4, axis=-1)
+
+
+def _polymul(p, q):
+    """Products of polynomials given by coefficient rows (..., i), (..., j)."""
+    i, j = np.indices((p.shape[-1], q.shape[-1]))
+    return np.einsum("...i,...j,ijk->...k", p, q, np.eye(i[-1, -1] + j[-1, -1] + 1)[i + j])
+
+
+def _quartic_angles(r):
+    """The real zeros in [-pi, pi) of sum_k r_k cos^(4-k) sin^k, for rows
+    r (n, 5), as (n, 8) with nan for none: eigenvalues of the companion
+    matrix in tan, or in cot where |r_0| > |r_4|, real within 1e-6."""
+    cot = np.abs(r[:, 0]) > np.abs(r[:, 4])
+    r = np.where(cot[:, None], r[:, ::-1], r)
+    ok = np.abs(r[:, 4]) > 1e-200 * np.abs(r).max(axis=1)
+    comp = np.zeros((len(r), 4, 4))
+    comp[:, 1:, :3] = np.eye(3)
+    comp[ok, :, 3] = -r[ok, :4] / r[ok, 4:]
+    z = np.linalg.eigvals(comp)
+    real = ok[:, None] & (np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z.real)))
+    th = np.where(real, np.where(cot[:, None], np.arctan2(1.0, z.real), np.arctan(z.real)),
+                  np.nan)
+    return np.mod(np.concatenate([th, th + np.pi], axis=1) + np.pi, 2.0 * np.pi) - np.pi
+
+
+def _conic_breaks(xy, E, conics):
+    """The breaks (n, k) of `_section_wedges` for conics: where one
+    crosses an edge, where two meet (zeros of the resultant of their ray
+    quadratics, a quartic in cos and sin), and the real parts re (n, J, 8)
+    of the complex angles where a ray's roots are singular (zeros of al and
+    of be^2 - al c), with their distances im from the real axis."""
+    a00, a01, a11, b0, b1, c = conics
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = _edge_crossings(xy[:, None], E[:, None], *_edge_quadratics(xy, E, conics))
+    # the same re are breaks and poles, so a pole on a break is that break to the bit
+    re, im = (np.concatenate(z, axis=-1) for z in zip(
+        _branch_angles(a00, a01, a11),
+        _branch_angles(b0 * b0 - c * a00, b0 * b1 - c * a01, b1 * b1 - c * a11)))
+    al, b = np.stack([a00, 2.0 * a01, a11], axis=-1), np.stack([b0, b1], axis=-1)
+    i, j = np.triu_indices(c.shape[1], 1)
+    u = al[:, i] * c[:, j, None] - al[:, j] * c[:, i, None]
+    v = _polymul(al[:, i], b[:, j]) - _polymul(al[:, j], b[:, i])
+    w = b[:, i] * c[:, j, None] - b[:, j] * c[:, i, None]
+    meet = _quartic_angles((_polymul(u, u) - 4.0 * _polymul(v, w)).reshape(-1, 5))
+    return np.concatenate([cross, re], axis=-1).reshape(len(xy), -1), meet.reshape(
+        len(xy), -1), re, im
+
+
+def _section_wedges(xy, inner, outer, conics=None):
+    """Split each planar section {p in triangle xy (n, 3, 2) : inner <=
+    |p| <= outer (n,)}, or the triangle cut by conics, into sub-wedges on
+    which every radial limit is analytic in the angle: at the corners'
+    angles, +-pi, and where an edge crosses a circle, or `_conic_breaks`.
+    A sub-wedge whose ray at the middle angle is shorter than
+    `_SECTION_EMPTY` times the farthest corner's distance is dropped; one
+    whose edge limits, or roots of a conic crossing that ray, turn sharply
+    near an end is graded (`_graded_wedges`). Returns the triangle of
+    each sub-wedge, its angles theta0 < theta1, and the normals and
+    offsets of `_ray_limits`.
     """
     E, _, normals, h = _half_planes(xy)
-    breaks = [np.arctan2(xy[..., 1], xy[..., 0]),
-              _circle_crossings(xy, E, inner), _circle_crossings(xy, E, outer),
+    if conics is None:
+        cuts = [_circle_crossings(xy, E, inner), _circle_crossings(xy, E, outer)]
+    else:
+        *cuts, re, im = _conic_breaks(xy, E, conics)
+    breaks = [np.arctan2(xy[..., 1], xy[..., 0]), *cuts,
               np.full((len(xy), 2), [-np.pi, np.pi])]
     theta = np.sort(np.concatenate(breaks, axis=1), axis=1)  # nan last
     lo, hi = theta[:, :-1], theta[:, 1:]
-    a, b, ia, ib = _ray_limits(normals, h, inner, outer, 0.5 * (lo + hi))
+    mid = 0.5 * (lo + hi)
+    a, b, ia, ib = _ray_limits(normals, h, inner, outer, mid)
     reach = np.sqrt(np.einsum("nkj,nkj->nk", xy, xy).max(axis=1))
     keep = (hi > lo) & (b - a > _SECTION_EMPTY * reach[:, None])
     rows, cols = np.nonzero(keep)
@@ -851,102 +866,109 @@ def _section_wedges(xy, inner, outer):
         real = (e >= 0) & thick[rows, edge]
         psi = np.where(real, along[rows, edge], np.nan)
         poles += [psi, psi + np.pi]
-    w, lo, hi = _graded_wedges(lo, hi, np.stack(poles, axis=1))
+    poles, depth = np.stack(poles, axis=1), 0.0
+    if conics is not None:
+        roots = _ray_roots(tuple(x[rows] for x in conics), mid[rows, cols, None])[:, 0]
+        on_ray = (roots > a[rows, cols, None, None]) & (roots < b[rows, cols, None, None])
+        re = np.where(on_ray.any(axis=-1)[..., None], re[rows], np.nan).reshape(len(rows), -1)
+        poles = np.concatenate([poles, re], axis=1)
+        depth = np.concatenate([np.zeros((len(rows), 4)), im[rows].reshape(len(rows), -1)], 1)
+    w, lo, hi = _graded_wedges(lo, hi, poles, depth)
     return rows[w], lo, hi, normals, h
 
 
-def _axis_sections(C: TriCurrent, V, idx, axes):
-    """Where triangles idx meet a coordinate cylinder over the plane
-    `axes`, with the vertices V relative to its center: a triangle is the
-    affine image of its projection to that plane, so it meets the cylinder
-    in the preimage of a disk about the axis.
+def _parts(counts):
+    """Items cut into counts (k,) parts, at least one: each part's item, index and count."""
+    counts = np.maximum(counts, 1).astype(int)
+    rep = np.repeat(np.arange(len(counts)), counts)
+    start = np.repeat(np.cumsum(counts) - counts, counts)
+    return rep, np.arange(len(rep)) - start, counts[rep]
 
-    Returns the projected corners (k, 3, 2), the frame (foot, e, f), each
-    (k, m), that maps projected coordinates (x, y) back to the
-    center-relative point foot + x e + y f of the triangle, and the ratio
-    of each triangle's area to its projection's (k,). e and f are the rows
-    of solve(E2, E), with E the edges from the first corner and E2 their
-    projections.
+
+def _section_integrate(C: TriCurrent, fn, R: Region, idx) -> float:
+    """Integral of fn (None: of 1) over the triangles idx within R on their
+    exact sections, in polar coordinates in each plane: between circles
+    about the foot of a ball's or an annulus's center, or cut by the
+    conics of `_conic_sections`, each ray at their roots, keeping the
+    pieces whose midpoint `Region.indicator` puts in R. Each piece of a
+    sub-wedge of `_section_wedges` is one group of fn, with its triangle's
+    tangent row, at `_SECTION_NODES` Gauss-Legendre nodes in angle and
+    radius, weight rho; a node of weight 0 moves onto its group's heaviest
+    node. For fn, no conic sub-wedge, piece or cut's move across a
+    sub-wedge exceeds the diameter of R's smallest ball or cylinder,
+    clipped to 1/16 to 1/4 of the triangle's longest edge.
     """
-    crn = V[C.triangles[idx]]
-    xy = crn[:, :, list(axes)]
-    M = np.linalg.solve(xy[:, 1:] - xy[:, :1], crn[:, 1:] - crn[:, :1])
-    foot = crn[:, 0] - xy[:, 0, :1] * M[:, 0] - xy[:, 0, 1:] * M[:, 1]
-    signed2, _ = _projected_areas(C, xy, idx)
-    return xy, (foot, M[:, 0], M[:, 1]), C.areas[idx] / np.abs(signed2)
-
-
-def _section_integrate(C: TriCurrent, fn, center, idx, inner: float,
-                       outer: float, axes=None) -> float:
-    """Integral of fn over the triangles idx intersected with the annulus
-    inner < |x - center| <= outer (a ball when inner is 0), or with the
-    coordinate cylinder of radius outer over the plane `axes`, on each
-    triangle's exact planar section.
-
-    For a ball or an annulus, the section is the triangle cut by two
-    circles about the foot of the center in its plane (`_plane_sections`).
-    For a cylinder, it is the preimage of the disk about the axis under the
-    triangle's projection to the plane `axes` (`_axis_sections`): the
-    section is taken in that plane, about the axis, and each node is mapped
-    back to the triangle and weighted by the ratio of the triangle's area
-    to its projection's (1 for a ball). In polar coordinates about the foot
-    (or the axis), each sub-wedge of `_section_wedges` takes a tensor
-    Gauss-Legendre rule with `_SECTION_NODES` nodes in angle and radius and
-    weight rho; every node lies inside the section. fn sees one group per
-    sub-wedge, with its triangle's tangent row. A node whose weight is 0
-    (an empty ray at a sub-wedge's end) is moved onto its group's heaviest
-    node, so fn is never evaluated off the section.
-    """
-    center = np.asarray(center, dtype=float)
-    V = C.vertices - center
-    if axes is None:
-        near, xy, off2, ro, (foot, e, f) = _plane_sections(C, V, idx, outer)
-        idx = idx[near]
-        ri = np.sqrt(np.maximum(inner * inner - off2, 0.0))
-        ratio = np.ones(len(idx))
-    else:
-        xy, (foot, e, f), ratio = _axis_sections(C, V, idx, axes)
-        ri, ro = np.zeros(len(idx)), np.full(len(idx), outer)
-    g, th0, th1, normals, h = _section_wedges(xy, ri, ro)
-    if len(g) == 0:
+    if len(idx) == 0:
         return 0.0
+    if R.kind in ("ball", "annulus"):
+        inner, outer = (R.inner, R.outer) if R.kind == "annulus" else (0.0, R.radius)
+        near, xy, off2, ro, (foot, e, f) = _plane_sections(C, C.vertices - R.center, idx,
+                                                           outer)
+        idx, origin, conics = idx[near], R.center + foot, None
+        ri = np.sqrt(np.maximum(inner * inner - off2, 0.0))
+    else:
+        xy, (origin, e, f), conics, pos, _ = _conic_sections(C, R, idx)
+        # a conic positive on the whole triangle becomes q = 1, which cuts nothing
+        conics = tuple(np.where(pos, q, v) for v, q in zip(conics, (0, 0, 0, 0, 0, 1)))
+        ri, ro = np.zeros(len(idx)), np.full(len(idx), np.inf)
+        squares = [q[2] for q in _quadrics(R) if q[2] > 0.0]  # radii^2 of round parts
+        edge = C.longest_edges[idx] if fn is not None else np.full(len(idx), np.inf)
+        cap = np.clip(2.0 * math.sqrt(min(squares, default=np.inf)), edge / 16, edge / 4)
+    g, th0, th1, normals, h = _section_wedges(xy, ri, ro, conics)
+
+    def cuts_at(g, theta):  # where the rays at theta (G, k) are cut, (G, k, K + 1)
+        a, b, _, _ = _ray_limits(normals[g], h[g], ri[g], ro[g], theta)
+        cuts = [a[..., None], np.maximum(a, b)[..., None]]
+        if conics is not None:
+            roots = _ray_roots(tuple(x[g] for x in conics), theta).reshape(a.shape + (-1,))
+            cuts.insert(1, np.fmin(np.fmax(roots, cuts[0]), cuts[1]))
+        return np.sort(np.concatenate(cuts, axis=-1), axis=-1)
+
+    if conics is not None:  # no sub-wedge wider than cap, nor a cut moving further
+        far = np.sqrt(np.einsum("nkj,nkj->nk", xy, xy).max(axis=1))
+        move = np.ptp(cuts_at(g, np.stack([th0, 0.5 * (th0 + th1), th1], axis=1)), axis=1)
+        width = th1 - th0
+        rep, j, n = _parts(np.ceil(np.maximum(far[g] * width, move.max(axis=1)) / cap[g]))
+        g, th0, th1 = g[rep], th0[rep] + width[rep] * j / n, th0[rep] + width[rep] * (j+1) / n
     (xt, wt), (xr, wr) = _GL_THETA, _GL_RHO
     half = 0.5 * (th1 - th0)
     theta = (th0 + half)[:, None] + half[:, None] * xt  # (G, n_theta)
-    a, b, _, _ = _ray_limits(normals[g], h[g], ri[g], ro[g], theta)
-    span = 0.5 * np.maximum(b - a, 0.0)
-    rho = (a + span)[..., None] + span[..., None] * xr  # (G, n_theta, n_rho)
+    cuts = cuts_at(g, theta)
+    lo, span = cuts[..., :-1], 0.5 * np.diff(cuts, axis=-1)  # pieces (G, n_theta, K)
+    if conics is not None:
+        u = (np.cos(theta)[..., None, None] * e[g, None, None]
+             + np.sin(theta)[..., None, None] * f[g, None, None])
+        span = span * R.indicator(origin[g, None, None] + (lo + span)[..., None] * u)
+    rows, piece = np.nonzero(np.any(span > 0.0, axis=1) | (conics is None))
+    if len(rows) == 0:
+        return 0.0
+    g, theta, half = g[rows], theta[rows], half[rows]
+    lo, span = lo[rows, :, piece], span[rows, :, piece]
+    if conics is not None:  # and no piece longer than cap
+        rep, j, n = _parts(np.ceil(2.0 * span.max(axis=1) / cap[g]))
+        g, theta, half, span = g[rep], theta[rep], half[rep], span[rep] / n[:, None]
+        lo = lo[rep] + 2.0 * span * j[:, None]
+    rho = (lo + span)[..., None] + span[..., None] * xr  # (G, n_theta, n_rho)
     w = ((half[:, None] * wt * span)[..., None] * wr * rho).reshape(len(g), -1)
     x = (rho * np.cos(theta)[..., None]).reshape(len(g), -1, 1)
     y = (rho * np.sin(theta)[..., None]).reshape(len(g), -1, 1)
     owner = idx[g]
-    pts = center + foot[g, None] + x * e[g, None] + y * f[g, None]
+    pts = origin[g, None] + x * e[g, None] + y * f[g, None]
     empty = w <= 0.0
     if np.any(empty):
         heaviest = pts[np.arange(len(g)), np.argmax(w, axis=1)]
         pts = np.where(empty[..., None], heaviest[:, None], pts)
-    vals = np.asarray(fn(pts, C.tangents[owner]), dtype=float)
-    return float(np.sum((vals * w).sum(axis=1) * ratio[g] * C.multiplicities[owner]))
+    vals = np.ones(w.shape) if fn is None else np.asarray(fn(pts, C.tangents[owner]), float)
+    return float(np.sum((vals * w).sum(axis=1) * C.multiplicities[owner]))
 
 
 def _shell_integrals(C: TriCurrent, fn, regions) -> list:
     """Integrals of fn over C restricted to each of `regions`, balls and
-    annuli about one center, or cylinders about one axis over one plane, as
-    `integrate` describes them, with the interior quadrature evaluated
-    once.
-
-    One `_near_far` over all the regions' radii (about the axis, for
-    cylinders) sorts the triangles: a triangle lies inside a region when
-    its farthest vertex is in the (outer) ball and, for an annulus, its
-    closest point outside the hole; it lies outside when its closest point
-    is outside the ball or its farthest vertex inside the hole; it meets
-    the boundary otherwise. fn is evaluated once at the quadrature points
-    of the triangles inside any of the regions and of their children
-    (`_quad_values`); each region takes its own inside triangles' values,
-    in triangle order, applies the refined rule to them (`_refined_sum`),
-    and adds the integral over the exact sections of its boundary
-    triangles (`_section_integrate`). So each value is the same, bit for
-    bit, as that of a one-region call.
+    annuli about one center, or cylinders about one axis, with one
+    `_near_far` over all radii and fn evaluated once at the `_quad_values`
+    of the triangles inside any region; each region sums its own inside
+    triangles' values in triangle order (`_refined_sum`) and adds its
+    crossed ones' `_section_integrate`, bit for bit a one-region call.
     """
     center = regions[0].center
     axes = regions[0].axes if regions[0].kind == "cylinder" else None
@@ -954,83 +976,51 @@ def _shell_integrals(C: TriCurrent, fn, regions) -> list:
               for R in regions]
     near, far = _near_far(C, center, [r for b in bounds for r in b if r > 0.0], axes)
     shells = []
-    for hole, ball in bounds:
+    for R, (hole, ball) in zip(regions, bounds):
         inside = (far <= ball) & ((near > hole) | (hole == 0.0))
         out = (near > ball) | (far <= hole)
-        shells.append((inside, np.nonzero(~(out | inside))[0], hole, ball))
-    union = np.nonzero(np.logical_or.reduce([sh[0] for sh in shells]))[0]
+        shells.append((R, inside, np.nonzero(~(out | inside))[0]))
+    union = np.nonzero(np.logical_or.reduce([sh[1] for sh in shells]))[0]
     vals = (_quad_values(C.vertices[C.triangles[union]], C.tangents[union], fn)
             if len(union) else [])
     totals = []
-    for inside, meets, hole, ball in shells:
+    for R, inside, meets in shells:
         sel = inside[union]
         acc = _refined_sum([v[sel] for v in vals], C.areas[union][sel],
                            C.multiplicities[union][sel])
-        totals.append(acc + _section_integrate(C, fn, center, meets, hole, ball, axes))
+        totals.append(acc + _section_integrate(C, fn, R, meets))
     return totals
 
 
 def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
     """Integral over ||C|| restricted to R of a pointwise scalar field, on
-    the same partition of C that `mass` measures R on, so that
-    `integrate(C, 1, R)` is `mass(C, R)` to rounding for every region kind.
-
-    The integrand sees the quadrature points in groups, each on one
-    triangle: fn(points (L, k, m), tangents (L, n2)) -> (L, k) values,
-    where tangents[l] is the unit 2-vector coefficient row of the triangle
-    under points[l]. The group size k depends on the path below, so an
-    integrand should broadcast over any group size; `blowup` also calls
-    its density with groups of one point.
-
-    Full space, and the triangles that lie inside R, go through the
-    order-7 quadrature with one adaptive refinement pass
-    (`_quad_integrate`, k = 7).
-
-    For a ball, an annulus or a cylinder, `_near_far` sorts the triangles
-    into inside, outside and boundary (see `_shell_integrals`), as it does
-    for `mass`. A triangle that meets the region's boundary is integrated
-    on its exact planar section by a polar Gauss-Legendre rule
-    (`_section_integrate`, one group of k = n_theta * n_rho nodes per
-    sub-wedge), so these integrals have quadrature error only. A region of
-    these kinds is the one-region case of `_shell_integrals`, which
-    `integrate_ladder` runs over nested balls.
-
-    Cone complements and intersections integrate on the leaves of
-    `_subdiv_leaves`, which `_subdiv_mass` sums: the triangles settled
-    inside R take the refined rule, and every leaf whose centroid is
-    inside takes the 7-point rule times its area (k = 7); fn is not called
-    on the other leaves.
+    the partition that `mass` measures R on, so `integrate(C, 1, R)` is
+    `mass(C, R)` to rounding. fn(points (L, k, m), tangents (L, n2)) ->
+    (L, k) sees groups of points on one triangle each, tangents[l] its
+    unit 2-vector row, and should broadcast over k. Triangles inside R
+    take the order-7 rule with one refinement pass (`_refined_sum`,
+    k = 7), crossed ones their exact section (`_section_integrate`, k =
+    n_theta * n_rho), so there is quadrature error only: sorted by
+    `_near_far` for a ball, an annulus or a cylinder (`_shell_integrals`),
+    and by `_conic_split` otherwise.
     """
     R = _effective_region(C, R)
     if R.kind in ("ball", "annulus", "cylinder"):
         return _shell_integrals(C, fn, [R])[0]
-    corners = C.corners()
-    if R.kind == "full":
-        return _quad_integrate(corners, C.tangents, C.areas, C.multiplicities, fn)
-    all_in, (tri, owner, area, cin) = _subdiv_leaves(C, R)
-    acc = _quad_integrate(corners[all_in], C.tangents[all_in], C.areas[all_in],
-                          C.multiplicities[all_in], fn)
-    tri, owner, area = tri[cin], owner[cin], area[cin]
-    if len(tri) == 0:
-        return acc
-    vals = np.asarray(fn(_quad_points(tri), C.tangents[owner]), dtype=float)
-    return acc + float(np.sum((vals @ TRI_QUAD_WEIGHTS) * area
-                              * C.multiplicities[owner]))
+    # full space keeps the tangents' column-major layout, which fn's sums see
+    inside, crossed = (slice(None), []) if R.kind == "full" else _conic_split(C, R)
+    vals = (_quad_values(C.corners()[inside], C.tangents[inside], fn)
+            if len(C.areas[inside]) else [])
+    return (_refined_sum(vals, C.areas[inside], C.multiplicities[inside])
+            + _section_integrate(C, fn, R, crossed))
 
 
 def integrate_ladder(C: TriCurrent, fn, center, radii) -> np.ndarray:
-    """Integrals of fn over C restricted to the balls B_r(center), for each
-    r in radii: the same numbers, bit for bit, as `integrate` ball by ball,
-    for an integrand whose value at a point does not depend on the other
-    points of its call, as `blowup.gradient_energy_density`'s; a
-    matrix-vector product such as `tangents @ b` rounds a one-row call
-    differently.
-
-    The radii whose region stays a plain ball under the clip ball of C
-    (`_effective_region`, which caps a concentric ball at the clip radius)
-    go through one `_shell_integrals`, which evaluates the quadrature of
-    the triangles inside the balls once for all of them; the others go
-    through `integrate`. The integral counterpart of `mass_ladder`.
+    """Integrals of fn over C in the balls B_r(center), r in radii, the
+    counterpart of `mass_ladder`: `integrate` ball by ball, bit for bit,
+    for an fn whose value at a point does not depend on the other points
+    of its call. The balls that stay balls within the clip ball of C share
+    one `_shell_integrals`; the others go through `integrate`.
     """
     radii = np.asarray(radii, dtype=float)
     regions = [Region.ball(center, r) for r in radii]
@@ -1190,24 +1180,22 @@ def _regular_slice_radius(C: TriCurrent, x0, rho: float) -> float:
 
 def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
     """Slice by the sphere |x - x0| = rho: circular arcs per triangle.
-
-    Each triangle that `_near_far` calls crossed meets the sphere in its
-    own circle, of radius sqrt(rho^2 - d^2) about the foot of x0 in its
-    plane (`_plane_sections`). The circle is cut where the triangle's edges
-    cross it (`_circle_crossings`), and the arcs between consecutive cuts
-    whose middle lies in the triangle are the slice; a circle that no edge
-    crosses is, when inside the face, two half circles. Each arc is one
-    segment between its end points, with its exact length and midpoint
-    (`Polyline1Current.lengths`, `midpoints`). It carries the triangle's
-    multiplicity, runs counterclockwise about the foot in the triangle's
-    orientation (exit point to entry point of the boundary of C restricted
-    to the ball), and the result's `owners` names its triangle. An end
-    point is named by the edge it lies on, so the triangles on an edge
-    share it, however close two crossings are.
+    A triangle `_near_far` calls crossed meets it in a circle about the
+    foot of x0 in its plane, cut at its edges (`_circle_crossings`); the
+    arcs whose middle lies in the triangle, or two half circles inside the
+    face, are the slice, one segment each with its exact length and
+    midpoint, the triangle's multiplicity and index (`owners`), running
+    counterclockwise in its orientation; an end point is named by its
+    edge. Within a clip ball, a sphere about its center past its radius
+    gives the empty slice, and an off-center one must stay inside.
     """
     if rho <= 0:
         raise ValueError("slice radius must be positive")
     x0 = np.asarray(x0, dtype=float)
+    if C.clip_radius is not None and np.linalg.norm(x0) + rho > C.clip_radius:
+        if np.any(x0):
+            raise ValueError(f"the sphere leaves the clip ball of radius {C.clip_radius}")
+        return Polyline1Current(np.zeros((0, C.m)), np.zeros((0, 2), int), [], owners=[])
     rho = _regular_slice_radius(C, x0, rho)
     near, far = _near_far(C, x0, [rho])
     cand = np.nonzero((near <= rho) & (far > rho))[0]

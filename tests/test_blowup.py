@@ -522,6 +522,22 @@ def test_cone_concentration(disk, lines, cusp):
     assert f_small <= f_big / 2
 
 
+def test_cone_concentration_on_exact_sections(disk, cusp):
+    """The cone concentrations of the tangent-cone workload, on exact conic
+    sections: one of the two lines leaves exactly half the mass out (the
+    depth-9 subdivision read 0.4999893), the cusp's concentration at
+    r = 0.1 is within 2e-6 of depth-13 subdivision's 0.990625 (depth 9
+    read 0.990576), and the flat disk has none."""
+    lines = ex.two_lines(h=0.4)
+    D = bl.tangent_directions(lines, X0, 0.25)
+    one = bl.DirectionCluster(D.representatives[:1], D.weights[:1], D.scale, D.threshold)
+    assert bl.cone_concentration(lines, X0, 0.25, one, 0.1) == pytest.approx(0.5, abs=1e-12)
+    got = bl.cone_concentration(cusp, X0, 0.1, bl.tangent_directions(cusp, X0, 0.1), 0.1)
+    assert abs(got - 0.990625) <= 2e-6
+    assert bl.cone_concentration(disk, X0, 0.5, bl.tangent_directions(disk, X0, 0.5),
+                                 0.1) <= 1e-12
+
+
 def test_goodslice_search(disk, graph, cusp):
     rho, smass, senergy = bl.goodslice_search(disk, X0, 0.6)
     assert 0.3 <= rho <= 0.6
