@@ -188,10 +188,11 @@ class Polyline1Current:
 class Region:
     """A restriction region: full space, ball, annulus, coordinate cylinder,
     the complement of an epsilon-cone around a union of 2-planes, or an
-    intersection of the above. `indicator` is the one membership test of
-    points; which triangles a region holds, misses or crosses is decided
-    apart, by `_near_far` for a ball, an annulus or a cylinder, else by
-    the extremes of its conics (`_conic_sections`)."""
+    intersection of the above, each the positive side of its quadrics
+    (`_quadrics`). `indicator` is the one membership test of points; which
+    triangles a region holds, misses or crosses is decided apart, by
+    `_near_far` for a ball, an annulus or a cylinder, else by the extremes
+    of its conics (`_conic_sections`)."""
 
     kind: str
     center: np.ndarray | None = None
@@ -227,12 +228,10 @@ class Region:
         free in the remaining coordinates (the parameter ball of a graph)."""
         if radius <= 0:
             raise ValueError("cylinder radius must be positive")
-        return Region(
-            "cylinder",
-            center=np.asarray(center, float),
-            radius=radius,
-            axes=tuple(axes),
-        )
+        center, axes = np.asarray(center, float), tuple(axes)
+        if len(axes) != 2 or axes[0] == axes[1] or not all(0 <= a < center.size for a in axes):
+            raise ValueError(f"cylinder axes must be two distinct indices in [0, {center.size})")
+        return Region("cylinder", center=center, radius=radius, axes=axes)
 
     @staticmethod
     def cone_complement(center, planes, eps: float) -> "Region":
@@ -260,33 +259,14 @@ class Region:
         return Region("intersect", parts=tuple(flat))
 
     def indicator(self, x: np.ndarray) -> np.ndarray:
-        """Boolean membership for points, shape (..., m): for a ball, an
-        annulus or a cylinder, by the distance to the center or the axis
-        (`_distances`); for a cone complement, dist(x, planes) > eps
-        |x - center| by the quadrics of `_quadrics`; for an intersection,
-        inside every part."""
+        """Boolean membership for points, shape (..., m): on the positive
+        side of every quadric of `_quadrics`, so open on the boundary."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "full":
-            return np.ones(x.shape[:-1], dtype=bool)
-        if self.kind == "intersect":
-            return np.all([part.indicator(x) for part in self.parts], axis=0)
-        if self.kind == "cone_complement":
-            w = x - self.center
-            return np.all([_dot(w, w @ M) > 0.0 for _, M, _ in _quadrics(self)], axis=0)
-        axes = list(self.axes) if self.kind == "cylinder" else slice(None)
-        d = _distances(x[..., axes], self.center[axes])
-        if self.kind == "annulus":
-            return (d > self.inner) & (d <= self.outer)
-        return d <= self.radius
-
-
-def _distances(x, center):
-    """|x - center| over the last axis, bit for bit as np.linalg.norm gives
-    it: the same squares, summed by the same reduction, but squared in
-    place and without norm's conj() copy."""
-    rel = x - center
-    rel *= rel
-    return np.sqrt(np.add.reduce(rel, axis=-1))
+        inside = np.ones(x.shape[:-1], dtype=bool)
+        for c, M, k in _quadrics(self):
+            w = x - c
+            inside &= _dot(w, w @ M) + k > 0.0
+        return inside
 
 
 def _effective_region(C: TriCurrent, R: Region | None) -> Region:
@@ -307,10 +287,10 @@ def _effective_region(C: TriCurrent, R: Region | None) -> Region:
     return Region.intersect(R, Region.ball(np.zeros(C.m), clip))
 
 
-def _plane_sections(C: TriCurrent, V, idx, r: float):
-    """Where the planes of triangles idx meet the ball B_r, with the
-    vertices V relative to the ball's center: each plane that passes within
-    r of the center meets the ball in a disk about the foot of the center.
+def _plane_sections(C: TriCurrent, center, idx, r: float):
+    """Where the planes of triangles idx meet the ball B_r(center): each
+    plane that passes within r of the center meets the ball in a disk about
+    the foot of the center.
 
     Returns near (bool, len(idx)), whether a plane passes within r, and for
     the near triangles: their corners in orthonormal plane coordinates
@@ -321,7 +301,7 @@ def _plane_sections(C: TriCurrent, V, idx, r: float):
     """
     T = C.triangles
     u1, u2 = plane_frames(C.tangents[idx], C.m)
-    a = V[T[idx, 0]]  # first vertex in center-relative coordinates
+    a = C.vertices[T[idx, 0]] - center  # first vertex relative to the center
     crel = -a  # center relative to the triangle's first vertex
     cx = np.einsum("ij,ij->i", crel, u1)
     cy = np.einsum("ij,ij->i", crel, u2)
@@ -330,17 +310,17 @@ def _plane_sections(C: TriCurrent, V, idx, r: float):
     idx, a, u1, u2, cx, cy = idx[near], a[near], u1[near], u2[near], cx[near], cy[near]
     off2 = off2[near]
     rp = np.sqrt(r * r - off2)
-    p = V[T[idx]] - a[:, None, :]
+    p = C.vertices[T[idx]] - center - a[:, None, :]
     x = np.einsum("nkj,nj->nk", p, u1) - cx[:, None]
     y = np.einsum("nkj,nj->nk", p, u2) - cy[:, None]
     foot = a + cx[:, None] * u1 + cy[:, None] * u2
     return near, np.stack([x, y], axis=2), off2, rp, (foot, u1, u2)
 
 
-def _ball_clip(C: TriCurrent, V, idx, r: float) -> np.ndarray:
-    """Exact areas inside the ball B_r of triangles idx, with the vertices
-    V relative to the ball's center: each plane meets the ball in a disk."""
-    near, xy, _, rp, _ = _plane_sections(C, V, idx, r)
+def _ball_clip(C: TriCurrent, R: Region, idx, r: float) -> np.ndarray:
+    """Exact areas of triangles idx inside the ball of radius r about R's
+    center: each plane meets the ball in a disk."""
+    near, xy, _, rp, _ = _plane_sections(C, R.center, idx, r)
     out = np.zeros(len(idx))
     out[near] = np.abs(tri_disk_areas(xy, rp))
     return out
@@ -358,15 +338,20 @@ def _projected_areas(C: TriCurrent, v, idx):
     return signed2, np.abs(signed2) < 1e-12 * np.maximum(C.areas[idx], 1e-12)
 
 
-def _cylinder_clip(C: TriCurrent, P2, idx, r: float) -> np.ndarray:
-    """Exact areas inside the cylinder of radius r of triangles idx, with
-    the vertices P2 projected to its plane relative to its axis: the share
-    of each projection inside the disk, times the triangle's area.
-    `_near_far` calls no edge-on projection crossed, so none comes here."""
-    v = P2[C.triangles[idx]]
-    signed2, _ = _projected_areas(C, v, idx)
-    share = np.minimum(np.abs(tri_disk_areas(v, r)) / np.abs(signed2), 1.0)
-    return C.areas[idx] * share
+def _cylinder_clip(C: TriCurrent, R: Region, idx, r: float) -> np.ndarray:
+    """Exact areas of triangles idx inside the cylinder R of radius r: the
+    share of each projection to R's plane inside the disk, times the
+    triangle's area; an edge-on projection has no share to take, so its
+    triangle integrates 1 on its conic section (`_section_integrate`)."""
+    axes = list(R.axes)
+    v = (C.vertices[C.triangles[idx]] - R.center)[..., axes]
+    signed2, edge_on = _projected_areas(C, v, idx)
+    flat = ~edge_on
+    out = C.areas[idx].copy()
+    out[flat] *= np.minimum(np.abs(tri_disk_areas(v[flat], r)) / np.abs(signed2[flat]), 1.0)
+    for k in np.nonzero(edge_on)[0]:
+        out[k] = _section_integrate(C, None, R, idx[k:k + 1]) / C.multiplicities[idx[k]]
+    return out
 
 
 # relative widening of the lower bound of a triangle's distance (`_near_far`)
@@ -382,8 +367,8 @@ def _near_far(C: TriCurrent, center, radii, axes=None):
     low = far - longest edge (projected), lowered by 1e-12 of |center| +
     far + edge, bounds near; the closest point is computed only where
     some radius lies in [low, far), elsewhere near = low decides alike. An
-    edge-on projection there (`_projected_areas`) counts whole or not at
-    all, by its centroid, so no cylinder crosses a projection without area.
+    edge-on projection (`_projected_areas`) has no closest point to trust
+    and keeps near = low, so a radius in [low, far) crosses it.
     """
     center = np.asarray(center, dtype=float)
     T = C.triangles
@@ -404,61 +389,12 @@ def _near_far(C: TriCurrent, center, radii, axes=None):
     todo = np.nonzero(np.searchsorted(radii, far) > np.searchsorted(radii, near))[0]
     crn = V[T[todo]]
     if axes is not None:
-        edge_on = _projected_areas(C, crn, todo)[1]
-        flat = todo[edge_on]
-        near[flat] = far[flat] = np.linalg.norm(crn[edge_on].mean(axis=1), axis=1)
-        todo, crn = todo[~edge_on], crn[~edge_on]
+        keep = ~_projected_areas(C, crn, todo)[1]
+        todo, crn = todo[keep], crn[keep]
     if len(todo):
         q, _ = _closest_points_on_triangles(0.0, crn[:, 0], crn[:, 1], crn[:, 2])
         near[todo] = np.sqrt(_dot(q, q))
     return near, far
-
-
-def _clip_sweep(C: TriCurrent, center, radii, axes=None):
-    """Exact per-triangle areas inside the balls B_r(center), or inside the
-    coordinate cylinders of radius r over the plane `axes`, for each r in
-    radii: a generator of one length-T array per radius, in order.
-
-    `_near_far` sorts the triangles once for all the radii. Per radius, a
-    triangle it calls inside counts whole, one it calls crossed is clipped
-    exactly, and one it calls missed counts 0.
-    """
-    center = np.asarray(center, dtype=float)
-    near, far = _near_far(C, center, radii, axes)
-    V = C.vertices - center
-    if axes is None:
-        clip, coords = _ball_clip, V
-    else:
-        clip, coords = _cylinder_clip, V[:, list(axes)]
-    for r in radii:
-        inside = far <= r
-        out = np.where(inside, C.areas, 0.0)
-        idx = np.nonzero(~inside & (near <= r))[0]
-        if len(idx):
-            out[idx] = clip(C, coords, idx, r)
-        yield out
-
-
-def mass_ladder(C: TriCurrent, center, radii, axes=None) -> np.ndarray:
-    """Masses of C in the balls B_r(center), or in the coordinate cylinders
-    over the plane `axes`, for each r in radii: `mass` region by region,
-    from one `_clip_sweep` over the radii whose region stays a ball or a
-    cylinder within the clip ball of C (`_effective_region`); the others,
-    intersections with it, go through `mass`.
-    """
-    radii = np.asarray(radii, dtype=float)
-    regions = [Region.ball(center, r) if axes is None else Region.cylinder(center, r, axes)
-               for r in radii]
-    effective = [_effective_region(C, R) for R in regions]
-    plain = np.array([E.kind != "intersect" for E in effective], dtype=bool)
-    out = np.empty(len(radii))
-    for k in np.nonzero(~plain)[0]:
-        out[k] = mass(C, regions[k])
-    plain = np.nonzero(plain)[0]
-    sweep = _clip_sweep(C, center, [effective[k].radius for k in plain], axes)
-    for k, areas in zip(plain, sweep):
-        out[k] = np.sum(areas * C.multiplicities)
-    return out
 
 
 def _midpoint_children(corners):
@@ -467,27 +403,6 @@ def _midpoint_children(corners):
     ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
     return [np.stack(child, axis=1)
             for child in ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))]
-
-
-def mass(C: TriCurrent, R: Region | None = None) -> float:
-    """Mass of C restricted to a region, M(C |_ R): balls, annuli and
-    cylinders clipped exactly in each triangle's plane by `_clip_sweep`;
-    for other regions, the triangles inside R whole and those its boundary
-    crosses (`_conic_split`) by the integral of 1 on their exact conic
-    sections (`_section_integrate`).
-    """
-    R = _effective_region(C, R)
-    mult = C.multiplicities
-    if R.kind in ("ball", "cylinder"):
-        axes = R.axes if R.kind == "cylinder" else None
-        (areas,) = _clip_sweep(C, R.center, [R.radius], axes)
-        return float(np.sum(areas * mult))
-    if R.kind == "annulus":
-        outer, inner = _clip_sweep(C, R.center, [R.outer, R.inner])
-        return float(np.sum((outer - inner) * mult))
-    inside, crossed = (slice(None), []) if R.kind == "full" else _conic_split(C, R)
-    return (float(np.sum(C.areas[inside] * mult[inside]))
-            + _section_integrate(C, None, R, crossed))
 
 
 def _eval_form_grouped(psi, points: np.ndarray) -> np.ndarray:
@@ -714,7 +629,7 @@ def _conic_sections(C: TriCurrent, R: Region, idx):
     edges and center within 1e-13 of the spread (touching is not crossing).
     """
     centers, M, k = (np.array(col) for col in zip(*_quadrics(R)))
-    _, xy, _, _, (foot, e, f) = _plane_sections(C, C.vertices - centers[0], idx, np.inf)
+    _, xy, _, _, (foot, e, f) = _plane_sections(C, centers[0], idx, np.inf)
     Me, Mf = e @ M, f @ M  # (J, n, m); M is symmetric
     A = [_dot(u, v).T for u, v in ((e, Me), (e, Mf), (f, Mf))]
 
@@ -902,8 +817,7 @@ def _section_integrate(C: TriCurrent, fn, R: Region, idx) -> float:
         return 0.0
     if R.kind in ("ball", "annulus"):
         inner, outer = (R.inner, R.outer) if R.kind == "annulus" else (0.0, R.radius)
-        near, xy, off2, ro, (foot, e, f) = _plane_sections(C, C.vertices - R.center, idx,
-                                                           outer)
+        near, xy, off2, ro, (foot, e, f) = _plane_sections(C, R.center, idx, outer)
         idx, origin, conics = idx[near], R.center + foot, None
         ri = np.sqrt(np.maximum(inner * inner - off2, 0.0))
     else:
@@ -962,34 +876,63 @@ def _section_integrate(C: TriCurrent, fn, R: Region, idx) -> float:
     return float(np.sum((vals * w).sum(axis=1) * C.multiplicities[owner]))
 
 
-def _shell_integrals(C: TriCurrent, fn, regions) -> list:
-    """Integrals of fn over C restricted to each of `regions`, balls and
-    annuli about one center, or cylinders about one axis, with one
-    `_near_far` over all radii and fn evaluated once at the `_quad_values`
-    of the triangles inside any region; each region sums its own inside
-    triangles' values in triangle order (`_refined_sum`) and adds its
-    crossed ones' `_section_integrate`, bit for bit a one-region call.
+def _integrals(C: TriCurrent, fn, regions) -> list:
+    """Integrals of fn (None: of 1, the mass) over C restricted to each of
+    `regions`, after `_effective_region`: balls and annuli about one
+    center, cylinders about one axis, or one other region. The triangles
+    are sorted once, by `_near_far` over all the radii or by
+    `_conic_split`. A region counts the triangles inside it whole (mass)
+    or by `_refined_sum` of fn's `_quad_values`, taken once for the
+    triangles inside any region, and the triangles its boundary crosses by
+    exact clipping (mass in a ball or a cylinder, an annulus as the outer
+    ball minus the inner) or on their exact sections
+    (`_section_integrate`). Each region's value is bit for bit that of a
+    call with it alone.
     """
-    center = regions[0].center
-    axes = regions[0].axes if regions[0].kind == "cylinder" else None
-    bounds = [(R.inner, R.outer) if R.kind == "annulus" else (0.0, R.radius)
-              for R in regions]
-    near, far = _near_far(C, center, [r for b in bounds for r in b if r > 0.0], axes)
-    shells = []
-    for R, (hole, ball) in zip(regions, bounds):
-        inside = (far <= ball) & ((near > hole) | (hole == 0.0))
-        out = (near > ball) | (far <= hole)
-        shells.append((R, inside, np.nonzero(~(out | inside))[0]))
-    union = np.nonzero(np.logical_or.reduce([sh[1] for sh in shells]))[0]
-    vals = (_quad_values(C.vertices[C.triangles[union]], C.tangents[union], fn)
-            if len(union) else [])
-    totals = []
-    for R, inside, meets in shells:
-        sel = inside[union]
-        acc = _refined_sum([v[sel] for v in vals], C.areas[union][sel],
-                           C.multiplicities[union][sel])
-        totals.append(acc + _section_integrate(C, fn, R, meets))
-    return totals
+    R, mult = regions[0], C.multiplicities
+    if R.kind in ("ball", "annulus", "cylinder"):
+        bounds = [(S.inner, S.outer) if S.kind == "annulus" else (0.0, S.radius)
+                  for S in regions]
+        axes = R.axes if R.kind == "cylinder" else None
+        near, far = _near_far(C, R.center, [r for b in bounds for r in b if r > 0.0], axes)
+        if fn is None:
+            clip = _ball_clip if axes is None else _cylinder_clip
+
+            def within(S, r):  # exact areas within radius r, per triangle
+                out = np.where(far <= r, C.areas, 0.0)
+                idx = np.nonzero((far > r) & (near <= r))[0]
+                if len(idx):
+                    out[idx] = clip(C, S, idx, r)
+                return out
+
+            return [float(np.sum((within(S, ball) - within(S, hole) if hole else
+                                  within(S, ball)) * mult))
+                    for S, (hole, ball) in zip(regions, bounds)]
+        insides = [(far <= ball) & ((near > hole) | (hole == 0.0)) for hole, ball in bounds]
+        crossed = [np.nonzero(~((near > ball) | (far <= hole) | inside))[0]
+                   for (hole, ball), inside in zip(bounds, insides)]
+    else:
+        inside, cut = ((np.ones(len(C), dtype=bool), []) if R.kind == "full"
+                       else _conic_split(C, R))
+        if fn is None:
+            return [float(np.sum(C.areas[inside] * mult[inside]))
+                    + _section_integrate(C, None, R, cut)]
+        insides, crossed = [inside], [cut]
+    # full space keeps the tangents' column-major layout, which fn's sums see
+    union = (slice(None) if R.kind == "full"
+             else np.nonzero(np.logical_or.reduce(insides))[0])
+    areas, mults = C.areas[union], mult[union]
+    vals = (_quad_values(C.corners()[union], C.tangents[union], fn) if len(areas) else [])
+    return [_refined_sum([v[inside[union]] for v in vals], areas[inside[union]],
+                         mults[inside[union]]) + _section_integrate(C, fn, S, cut)
+            for S, inside, cut in zip(regions, insides, crossed)]
+
+
+def mass(C: TriCurrent, R: Region | None = None) -> float:
+    """Mass of C restricted to a region, M(C |_ R): the integral of 1 by
+    `_integrals`, with balls, annuli and cylinders clipped exactly in each
+    triangle's plane."""
+    return _integrals(C, None, [_effective_region(C, R)])[0]
 
 
 def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
@@ -1000,38 +943,43 @@ def integrate(C: TriCurrent, fn, R: Region | None = None) -> float:
     unit 2-vector row, and should broadcast over k. Triangles inside R
     take the order-7 rule with one refinement pass (`_refined_sum`,
     k = 7), crossed ones their exact section (`_section_integrate`, k =
-    n_theta * n_rho), so there is quadrature error only: sorted by
-    `_near_far` for a ball, an annulus or a cylinder (`_shell_integrals`),
-    and by `_conic_split` otherwise.
+    n_theta * n_rho), so there is quadrature error only (`_integrals`).
     """
-    R = _effective_region(C, R)
-    if R.kind in ("ball", "annulus", "cylinder"):
-        return _shell_integrals(C, fn, [R])[0]
-    # full space keeps the tangents' column-major layout, which fn's sums see
-    inside, crossed = (slice(None), []) if R.kind == "full" else _conic_split(C, R)
-    vals = (_quad_values(C.corners()[inside], C.tangents[inside], fn)
-            if len(C.areas[inside]) else [])
-    return (_refined_sum(vals, C.areas[inside], C.multiplicities[inside])
-            + _section_integrate(C, fn, R, crossed))
+    return _integrals(C, fn, [_effective_region(C, R)])[0]
+
+
+def _ladder(C: TriCurrent, fn, center, radii, axes=None) -> np.ndarray:
+    """`_integrals` of fn (None: mass) in the balls B_r(center), or the
+    coordinate cylinders over the plane `axes`, for each r in radii: the
+    radii whose region stays a ball or a cylinder within the clip ball of
+    C (`_effective_region`) share one call, and the others, intersections
+    with it, go one at a time."""
+    regions = [_effective_region(C, Region.ball(center, r) if axes is None
+                                 else Region.cylinder(center, r, axes))
+               for r in np.asarray(radii, dtype=float)]
+    plain = [k for k, E in enumerate(regions) if E.kind != "intersect"]
+    out = np.array([_integrals(C, fn, [E])[0] if E.kind == "intersect" else 0.0
+                    for E in regions])
+    if plain:
+        out[plain] = _integrals(C, fn, [regions[k] for k in plain])
+    return out
+
+
+def mass_ladder(C: TriCurrent, center, radii, axes=None) -> np.ndarray:
+    """Masses of C in the balls B_r(center), or in the coordinate cylinders
+    over the plane `axes`, for each r in radii: `mass` region by region,
+    bit for bit, with the triangles sorted once for all the radii whose
+    region stays a ball or a cylinder (`_ladder`)."""
+    return _ladder(C, None, center, radii, axes)
 
 
 def integrate_ladder(C: TriCurrent, fn, center, radii) -> np.ndarray:
     """Integrals of fn over C in the balls B_r(center), r in radii, the
     counterpart of `mass_ladder`: `integrate` ball by ball, bit for bit,
     for an fn whose value at a point does not depend on the other points
-    of its call. The balls that stay balls within the clip ball of C share
-    one `_shell_integrals`; the others go through `integrate`.
-    """
-    radii = np.asarray(radii, dtype=float)
-    regions = [Region.ball(center, r) for r in radii]
-    effective = [_effective_region(C, R) for R in regions]
-    plain = np.array([E.kind == "ball" for E in effective], dtype=bool)
-    out = np.empty(len(radii))
-    for k in np.nonzero(~plain)[0]:
-        out[k] = integrate(C, fn, regions[k])
-    if np.any(plain):
-        out[plain] = _shell_integrals(C, fn, [effective[k] for k in np.nonzero(plain)[0]])
-    return out
+    of its call, with fn evaluated once on the triangles inside any ball
+    that stays a ball (`_ladder`)."""
+    return _ladder(C, fn, center, radii)
 
 
 def pair(C: TriCurrent, psi, R: Region | None = None) -> float:
@@ -1199,7 +1147,7 @@ def slice_sphere(C: TriCurrent, x0, rho: float) -> Polyline1Current:
     rho = _regular_slice_radius(C, x0, rho)
     near, far = _near_far(C, x0, [rho])
     cand = np.nonzero((near <= rho) & (far > rho))[0]
-    hit, xy, _, rp, (foot, e, f) = _plane_sections(C, C.vertices - x0, cand, rho)
+    hit, xy, _, rp, (foot, e, f) = _plane_sections(C, x0, cand, rho)
     owner = cand[hit]
     E, orient, normals, h = _half_planes(xy)
     theta = _circle_crossings(xy, E, rp)

@@ -175,11 +175,12 @@ def test_flat_disk_off_plane_ball_mass(disk):
             assert cur.mass(disk, cur.Region.ball(center, r)) == 0.0
 
 
-def test_cylinder_edge_on_triangles_vote_by_centroid():
+def test_cylinder_edge_on_triangles_take_their_strips():
     # two triangles in the x1-x3 plane project onto segments of the x1-x2
-    # plane and straddle the wall of the radius-0.5 cylinder; the centroid
-    # of the first projects inside, that of the second outside. The third
-    # lies in the x1-x2 plane and holds the quarter disk of radius 0.5.
+    # plane and straddle the wall of the radius-0.5 cylinder, which holds
+    # the strip |x1| <= 0.5 of each: 7/12 of the first, whose two corners
+    # of area 1/120 lie outside, and 1/8 of the second. The third lies in
+    # the x1-x2 plane and holds the quarter disk of radius 0.5.
     verts = [
         [-0.6, 0, 0, 0], [0.6, 0, 0, 0], [0, 0, 1, 0],
         [0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 1, 0],
@@ -194,14 +195,19 @@ def test_cylinder_edge_on_triangles_vote_by_centroid():
         ]
         C = cur.TriCurrent(verts, [(0, 1, 2), (3, 4, 5), (6, 7, 8)], [1, 1, 1])
         both = cur.mass(C, R)
-        # integrate sees the same partition: the edge-on triangles whole or
-        # not at all, the third on its section
-        ones = cur.integrate(C, lambda p, t: np.ones(p.shape[:-1]), R)
-    assert parts[0] == pytest.approx(0.6, rel=1e-12)
-    assert parts[1] == 0.0
-    assert parts[2] == pytest.approx(math.pi / 16, rel=1e-12)
-    assert both == pytest.approx(0.6 + math.pi / 16, rel=1e-12)
-    assert ones == pytest.approx(both, rel=1e-12)
+        ones = [cur.integrate(cur.TriCurrent(verts, [tri], [1]), lambda p, t:
+                              np.ones(p.shape[:-1]), R)
+                for tri in [(0, 1, 2), (3, 4, 5), (6, 7, 8)]]
+        # the triangle (0,0,0,0), (1,0,0,0), (0.5,0,1,0) in the radius-0.3
+        # cylinder: the strip 0 <= x1 <= 0.3 of area 0.09
+        small = cur.TriCurrent([[0, 0, 0, 0], [1, 0, 0, 0], [0.5, 0, 1, 0]], [(0, 1, 2)], [1])
+        R3 = cur.Region.cylinder(np.zeros(4), 0.3)
+        strip = [cur.mass(small, R3), cur.integrate(small, lambda p, t: np.ones(p.shape[:-1]), R3)]
+    want = [7 / 12, 1 / 8, math.pi / 16]
+    assert parts == pytest.approx(want, rel=1e-12)
+    assert ones == pytest.approx(want, rel=1e-12)
+    assert both == pytest.approx(sum(want), rel=1e-12)
+    assert strip == pytest.approx([0.09, 0.09], rel=1e-12)
 
 
 def test_pair_constant_forms(disk):
@@ -210,9 +216,10 @@ def test_pair_constant_forms(disk):
     dx12 = xt.MultiForm(m, 2, np.eye(nb)[xt.blade_index(m, (0, 1))])
     dx34 = xt.MultiForm(m, 2, np.eye(nb)[xt.blade_index(m, (2, 3))])
     assert cur.pair(disk, dx12) == pytest.approx(cur.mass(disk), rel=1e-12)
-    # region restriction goes through recursive quadrature, not exact clipping
+    # the disk's triangles in the ball count whole, the crossed ones on
+    # their exact sections, so only rounding is left
     R = cur.Region.ball(np.zeros(4), 0.5)
-    assert cur.pair(disk, dx12, R) == pytest.approx(math.pi * 0.25, rel=5e-4)
+    assert cur.pair(disk, dx12, R) == pytest.approx(math.pi * 0.25, rel=1e-12)
     assert abs(cur.pair(disk, dx34, R)) < 1e-12
 
 
@@ -419,7 +426,7 @@ def _assert_same_chords(S, ref):
 def test_property_slice_arcs_match_clipped_area_derivative(seed):
     """On random triangles, with radii between the nearest and farthest
     vertex included, each triangle's arc length is (rho' / rho) dA/drho:
-    A is its exactly clipped area in the ball (`_clip_sweep`, a kernel of
+    A is its exactly clipped area in the ball (`_ball_clip`, a kernel of
     its own), dA/drho its central difference at step 1e-7 rho, and rho'
     the radius sqrt(rho^2 - d^2) of the circle in which its plane meets
     the sphere. Over 23,000 seeds the two differed by at most 4e-8 rho';
@@ -436,7 +443,8 @@ def test_property_slice_arcs_match_clipped_area_derivative(seed):
     arcs = np.bincount(S.owners, weights=S.lengths(), minlength=len(C))
     rho = cur._regular_slice_radius(C, x0, rho)
     step = 1e-7 * rho
-    below, above = cur._clip_sweep(C, x0, [rho - step, rho + step])
+    below, above = (cur._ball_clip(C, cur.Region.ball(x0, r), np.arange(len(C)), r)
+                    for r in (rho - step, rho + step))
     crn = C.corners()
     Q, _ = np.linalg.qr(np.stack([crn[:, 1] - crn[:, 0], crn[:, 2] - crn[:, 0]], axis=2))
     rel = x0 - crn[:, 0]
@@ -940,8 +948,8 @@ def _near_far_reference(C, center, axes=None):
 
 def _ball_clip_areas_reference(C, center, r):
     """Exact per-triangle area inside the ball B_r(center), one radius at a
-    time: the per-radius form of `cur._clip_sweep` for balls, on the exact
-    rule (inside when the farthest vertex is within r, clipped when the
+    time: the per-radius form of a mass ladder's clipping for balls, on the
+    exact rule (inside when the farthest vertex is within r, clipped when the
     closest point is)."""
     center = np.asarray(center, dtype=float)
     V = C.vertices - center
@@ -972,8 +980,8 @@ def _ball_clip_areas_reference(C, center, r):
 
 def _cylinder_clip_areas_reference(C, center, r, axes):
     """Exact per-triangle area inside a coordinate cylinder, one radius at a
-    time: the per-radius form of `cur._clip_sweep` for cylinders, on the
-    exact rule for the projections."""
+    time: the per-radius form of a mass ladder's clipping for cylinders, on
+    the exact rule for the projections, none of them edge-on."""
     center = np.asarray(center, dtype=float)
     q = (C.vertices - center)[:, list(axes)][C.triangles]  # projected (T, 3, 2)
     near, far = _near_far_reference(C, center, axes)
@@ -986,13 +994,7 @@ def _cylinder_clip_areas_reference(C, center, r, axes):
         (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
         - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
     )
-    areas = C.areas[idx]
-    edge_on = np.abs(signed2) < 1e-12 * np.maximum(areas, 1e-12)
-    vote = np.where(np.linalg.norm(v.mean(axis=1), axis=1) <= r, areas, 0.0)
-    clipped = np.abs(clip.tri_disk_areas(v, r))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = np.minimum(clipped / np.abs(signed2), 1.0)
-    out[idx] = np.where(edge_on, vote, areas * share)
+    out[idx] = C.areas[idx] * np.minimum(np.abs(clip.tri_disk_areas(v, r)) / np.abs(signed2), 1.0)
     return out
 
 
@@ -1009,9 +1011,11 @@ def _clip_areas_reference(C, center, r, axes):
     st.sampled_from(["near", "far"]),
 )
 def test_property_clip_sweep_matches_per_radius_reference(seed, axes, where):
-    """One sweep over a ladder gives the per-radius clip areas and masses
-    bit for bit, for unsorted and repeated radii, radii that meet no
-    triangle or hold every triangle whole, and annuli."""
+    """One sort of the triangles over a ladder (`_near_far`) and the clip
+    of those it calls crossed (`_ball_clip`, `_cylinder_clip`) give the
+    per-radius clip areas, and the ladder and `mass` the masses, bit for
+    bit, for unsorted and repeated radii, radii that meet no triangle or
+    hold every triangle whole, and annuli."""
     rng = np.random.default_rng(seed)
     m = 4
     n = int(rng.integers(1, 13))
@@ -1026,9 +1030,16 @@ def test_property_clip_sweep_matches_per_radius_reference(seed, axes, where):
     rng.shuffle(radii)
     mult = C.multiplicities
     want = [_clip_areas_reference(C, center, r, axes) for r in radii]
-    got = list(cur._clip_sweep(C, center, radii, axes))
-    assert len(got) == len(radii)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    near, far = cur._near_far(C, center, radii, axes)
+    for r, w in zip(radii, want):
+        crossed = np.nonzero((far > r) & (near <= r))[0]
+        if axes is None:
+            got = cur._ball_clip(C, cur.Region.ball(center, r), crossed, r)
+        else:
+            got = cur._cylinder_clip(C, cur.Region.cylinder(center, r, axes), crossed, r)
+        assert np.array_equal(got, w[crossed])
+        assert np.array_equal(w[far <= r], C.areas[far <= r])
+        assert not np.any(w[near > r])
     assert np.array_equal(cur.mass_ladder(C, center, radii, axes),
                           [np.sum(w * mult) for w in want])
     for r, w in zip(radii, want):
@@ -1057,9 +1068,9 @@ def test_property_near_far_matches_closest_point_reference(seed, axes, scale):
     triangle does: inside when the farthest vertex is within r, missed when
     the closest point is farther than r, crossed otherwise. Radii include
     vertex distances, closest-point distances, the bound far - edge and
-    repeats. A triangle whose projection is edge-on is never called
-    crossed: it lies inside exactly when its projected centroid is within
-    r. Every near is finite."""
+    repeats. A triangle whose projection is edge-on keeps the bound far -
+    edge: it is never called missed where the closest point of its edges
+    is within r. Every near is finite."""
     rng = np.random.default_rng(seed)
     m = 4
     n = int(rng.integers(2, 13))
@@ -1085,31 +1096,36 @@ def test_property_near_far_matches_closest_point_reference(seed, axes, scale):
     if axes is not None:
         V = V[:, list(axes)]
     crn = V[C.triangles]
+    edge_on = np.zeros(n, dtype=bool)
+    if axes is not None:
+        edge_on = cur._projected_areas(C, crn, np.arange(n))[1]
+        assert edge_on[0]
+    # an edge-on projection is its edges: the reference's closest point on
+    # it may be nan, so take the closest point of each edge
+    p, d = crn[edge_on], crn[edge_on][:, [1, 2, 0]] - crn[edge_on]
+    dd = np.einsum("nkj,nkj->nk", d, d)
+    t = np.clip(-np.einsum("nkj,nkj->nk", p, d) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
+    near_ref[edge_on] = np.linalg.norm(p + t[..., None] * d, axis=2).min(axis=1)
     reach = np.linalg.norm(crn - crn[:, [1, 2, 0]], axis=2).max(axis=1)
-    centroid = np.linalg.norm(crn.mean(axis=1), axis=1)
     pick = rng.integers(n, size=3)
     radii = np.concatenate([
         scale * rng.uniform(0.05, 3.0, 4),
         np.linalg.norm(crn[pick, rng.integers(3, size=3)], axis=1),  # vertices
-        far_ref[pick], near_ref[pick], (far_ref - reach)[pick], centroid[:1],
+        far_ref[pick], near_ref[pick], (far_ref - reach)[pick], near_ref[:1],
     ])
     radii = radii[radii > 0.0]
     radii = np.concatenate([radii, radii[:2]])
     rng.shuffle(radii)
     near, far = cur._near_far(C, center, radii, axes)
     assert np.all(np.isfinite(near))
-    edge_on = np.zeros(n, dtype=bool)
-    if axes is not None:
-        edge_on = cur._projected_areas(C, crn, np.arange(n))[1]
-        assert edge_on[0]
-    assert np.array_equal(far[~edge_on], far_ref[~edge_on])
+    assert np.array_equal(far, far_ref)
+    assert np.all(near[edge_on] <= near_ref[edge_on])
     for r in radii:
         inside = far <= r
         missed = ~inside & (near > r)
         want = ~inside & (near_ref > r)
         assert np.array_equal(missed[~edge_on], want[~edge_on])
-        assert np.array_equal(inside[edge_on], centroid[edge_on] <= r)
-        assert np.array_equal(missed[edge_on], centroid[edge_on] > r)
+        assert not np.any(missed & ~want)
 
 
 def _midpoint_children_reference(corners):
@@ -1146,16 +1162,33 @@ def _random_case(rng, kind, scale, n=8):
     return C, dataclasses.replace(R, **scaled)
 
 
-def test_midpoint_children_and_distances_keep_their_bits():
+def test_midpoint_children_keep_their_bits():
     rng = np.random.default_rng(5)
     corners = rng.standard_normal((50, 3, 4)) * 10.0 ** rng.integers(-3, 4, (50, 1, 1))
     got = cur._midpoint_children(corners)
     assert all(np.array_equal(g, w)
                for g, w in zip(got, _midpoint_children_reference(corners)))
-    for shape in [(7, 4), (30, 7, 4), (5, 3, 6), (9, 2)]:
-        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
-        c = rng.standard_normal(shape[-1])
-        assert np.array_equal(cur._distances(x, c), np.linalg.norm(x - c, axis=-1))
+
+
+def test_region_indicator_is_the_open_side_of_its_quadrics():
+    """Off the boundary, membership is the distance test of each kind and
+    of an intersection's parts; on a sphere or a cylinder it is outside."""
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal(4)
+    x = c + rng.standard_normal((40, 7, 4))
+    d, dc = np.linalg.norm(x - c, axis=-1), np.linalg.norm((x - c)[..., 1:3], axis=-1)
+    cases = [(cur.Region.ball(c, 1.2), d < 1.2),
+             (cur.Region.annulus(c, 0.8, 1.5), (d > 0.8) & (d < 1.5)),
+             (cur.Region.cylinder(c, 0.9, (1, 2)), dc < 0.9),
+             (cur.Region.intersect(cur.Region.ball(c, 1.2),
+                                   cur.Region.cylinder(c, 0.9, (1, 2))), (d < 1.2) & (dc < 0.9)),
+             (cur.Region.full(), np.ones(d.shape, dtype=bool))]
+    for R, want in cases:
+        assert np.array_equal(R.indicator(x), want)
+    z = np.zeros(4)
+    on = np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, -0.5, 0.0], [0.0, 0.5, 0.0, 7.0]])
+    assert not cur.Region.ball(z, 0.5).indicator(on[:2]).any()
+    assert not cur.Region.cylinder(z, 0.5, (1, 2)).indicator(on[1:]).any()
 
 
 def _section_rays_reference(P, theta):
@@ -1190,9 +1223,7 @@ def _section_reference(C, fn, R, n=16, grades=49):
     section is that of its projection to the axes plane about the axis,
     each node is lifted to the triangle by its barycentric coordinates in
     the projection and weighted by the triangle's area over the
-    projection's, and a triangle whose projection is edge-on (below 1e-12
-    of its area) counts whole or not at all, by its projected centroid.
-    The section is cut at the corners' angles, at the angles where an edge
+    projection's; the cases have no edge-on projection. The section is cut at the corners' angles, at the angles where an edge
     crosses either circle, and at +-pi, and each sub-wedge is cut again at
     2^-j of its width from either end (j = 1..grades), so a limit that
     turns sharply at an end is resolved. Every piece gets n x n
@@ -1210,9 +1241,6 @@ def _section_reference(C, fn, R, n=16, grades=49):
         far = np.linalg.norm(flat, axis=2).max(axis=1)
         e1, e2 = flat[:, 1] - flat[:, 0], flat[:, 2] - flat[:, 0]
         signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        edge_on = np.abs(signed) < 1e-12 * np.maximum(C.areas, 1e-12)
-        centroid = np.linalg.norm(flat.mean(axis=1), axis=1)
-        near, far = np.where(edge_on, centroid, near), np.where(edge_on, centroid, far)
     else:
         q, _ = cur._closest_points_on_triangles(x0, corners[:, 0], corners[:, 1],
                                                corners[:, 2])
@@ -1433,6 +1461,20 @@ def test_cone_complement_refuses_bad_planes():
         cur.Region.cone_complement(np.zeros(4), [], 0.1)
     with pytest.raises(ValueError, match="plane"):
         cur.Region.cone_complement(np.zeros(3), [np.eye(4)[:, :2]], 0.1)
+
+
+def test_cylinder_refuses_bad_axes():
+    """Axes must be two distinct coordinate indices of the center: (0, 0)
+    on flat_disk(h=0.1) at radius 0.5 read mass 1.3805 against pi/4, and
+    (0, 7) raised an IndexError from inside mass."""
+    C = ex.flat_disk(h=0.1)
+    for axes in [(0, 0), (0, 7), (-1, 2), (0, 1, 2), (1,)]:
+        with pytest.raises(ValueError, match="axes"):
+            cur.Region.cylinder(np.zeros(4), 0.5, axes)
+        with pytest.raises(ValueError, match="axes"):
+            cur.mass_ladder(C, np.zeros(4), [0.5], axes)
+    got = cur.mass(C, cur.Region.cylinder(np.zeros(4), 0.5, (1, 0)))
+    assert got == pytest.approx(math.pi / 4, rel=1e-12)
 
 
 def test_slice_honours_the_clip_ball(disk):
