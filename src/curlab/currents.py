@@ -459,8 +459,8 @@ def _refined_sum(vals, areas, mults):
 # Gauss-Legendre nodes in angle and in radius per sub-wedge of a section
 _SECTION_NODES = (8, 6)
 _GL_THETA, _GL_RHO = (np.polynomial.legendre.leggauss(n) for n in _SECTION_NODES)
-# a sub-wedge is kept when its radial interval at the middle angle is
-# longer than this share of the triangle's reach from the foot
+# a sub-wedge whose ray at the middle angle, or a conic ray piece whose
+# half-length, is at most this share of the triangle's reach is dropped
 _SECTION_EMPTY = 1e-12
 # an edge line passing closer to the foot than this share of the reach
 # bounds a sliver too thin to grade toward (`_graded_wedges`)
@@ -805,7 +805,9 @@ def _section_integrate(C: TriCurrent, fn, R: Region, idx) -> float:
     exact sections, in polar coordinates in each plane: between circles
     about the foot of a ball's or an annulus's center, or cut by the
     conics of `_conic_sections`, each ray at their roots, keeping the
-    pieces whose midpoint `Region.indicator` puts in R. Each piece of a
+    pieces whose midpoint `Region.indicator` puts in R and whose
+    half-length exceeds `_SECTION_EMPTY` times the triangle's reach
+    (a piece kept at no angular node costs no group). Each piece of a
     sub-wedge of `_section_wedges` is one group of fn, with its triangle's
     tangent row, at `_SECTION_NODES` Gauss-Legendre nodes in angle and
     radius, weight rho; a node of weight 0 moves onto its group's heaviest
@@ -853,6 +855,7 @@ def _section_integrate(C: TriCurrent, fn, R: Region, idx) -> float:
         u = (np.cos(theta)[..., None, None] * e[g, None, None]
              + np.sin(theta)[..., None, None] * f[g, None, None])
         span = span * R.indicator(origin[g, None, None] + (lo + span)[..., None] * u)
+        span = np.where(span > _SECTION_EMPTY * far[g, None, None], span, 0.0)
     rows, piece = np.nonzero(np.any(span > 0.0, axis=1) | (conics is None))
     if len(rows) == 0:
         return 0.0

@@ -109,33 +109,24 @@ def _diff_matrix(nodes: np.ndarray) -> np.ndarray:
     return D
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson integral of samples y at increasing nodes x, N >= 3.
+# Gregory's end-correction coefficients for the 1st to 4th differences
+_GREGORY = (1 / 12, 1 / 24, 19 / 720, 3 / 160)
 
-    The arithmetic of scipy 1.17's 1-d `scipy.integrate.simpson`, bit for
-    bit: the unequal-spacing parabola rule on the pairs of intervals from
-    the left, and for an even number of samples the last interval by
-    Cartwright's correction (its three-point weights alpha, beta, eta).
+
+def _gregory_weights(n: int) -> np.ndarray:
+    """Weights of n uniform samples, unit step: the trapezoidal rule with
+    Gregory's end corrections through the 4th difference (fewer when
+    n < 5), the same at both ends. Exact on quintics for n >= 5; n = 3 is
+    Simpson's rule and n = 5 Boole's. All weights are positive.
     """
-    N = len(y)
-    stop = N - 2 if N % 2 else N - 3
-    h = np.diff(x)
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = h0 / h1
-    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                        + y[1:stop + 1:2] * (hsum * (hsum / hprod))
-                        + y[2:stop + 2:2] * (2.0 - h0divh1))
-    result = np.sum(tmp)
-    if N % 2 == 0:
-        # 0-d arrays, as scipy takes them, so each power is the same ufunc
-        g0, g1 = np.squeeze(h[-2:-1]), np.squeeze(h[-1:])
-        alpha = (2 * g1 ** 2 + 3 * g0 * g1) / (6 * (g1 + g0))
-        beta = (g1 ** 2 + 3.0 * g0 * g1) / (6 * g0)
-        eta = (1 * g1 ** 3) / (6 * g0 * (g0 + g1))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result
+    w = np.ones(n)
+    w[0] -= 0.5
+    w[-1] -= 0.5
+    for j, c in enumerate(_GREGORY[:n - 1], start=1):
+        end = c * np.array([(-1) ** (i + 1) * math.comb(j, i) for i in range(j + 1)])
+        w[:j + 1] += end
+        w[::-1][:j + 1] += end
+    return w
 
 
 def _periodic_multilinear(values: np.ndarray, radii: np.ndarray, eta: np.ndarray,
@@ -352,20 +343,17 @@ class SampledMap:
                       radial_weight=None) -> float:
         """Integrate density * radial_weight(rho) over the ball B_r.
 
-        Trapezoidal in radius over the geometric ladder; the hole below the
-        innermost radius is closed with the local power-law model.
+        The sphere integrals times rho^4 radial_weight(rho), the weight
+        taken on the radius array, take `_gregory_weights` in s = log rho,
+        uniform on the ladder, at every index; the hole below the innermost
+        radius takes a local power law.
         """
         k = self._radius_index(r)
-        S = self.sphere_integral(density)
         rho = self.radii
-        wfun = (lambda t: 1.0) if radial_weight is None else radial_weight
-        F = np.array([rho[i] ** 3 * S[i] * wfun(rho[i]) for i in range(len(rho))])
-        # the ladder is uniform in log radius; Simpson there is high order
-        if k >= 2:
-            s = np.log(rho[: k + 1])
-            acc = float(_simpson(F[: k + 1] * rho[: k + 1], s))
-        else:
-            acc = float(np.trapezoid(F[: k + 1], rho[: k + 1]))
+        F = rho**3 * self.sphere_integral(density) * (
+            1.0 if radial_weight is None else radial_weight(rho))
+        h = -math.log(self.ratio)
+        acc = h * float(_gregory_weights(k + 1) @ (F[: k + 1] * rho[: k + 1]))
         # hole: assume F ~ F(rho_0) * (rho/rho_0)^p with p from the first step
         if F[0] > 0 and F[1] > 0:
             p = math.log(F[1] / F[0]) / math.log(rho[1] / rho[0])

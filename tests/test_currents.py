@@ -711,6 +711,31 @@ def test_integrate_annulus_counts_triangles_dipping_into_the_hole(disk, inner, o
     assert got == pytest.approx(cur.mass(disk, R), rel=1e-12, abs=0.0)
 
 
+def test_section_rule_drops_pieces_of_rounding_length():
+    """A ray piece no longer than `_SECTION_EMPTY` times its triangle's
+    reach is dropped, as a sub-wedge that narrow is. Counted with an
+    integrand that records its groups: the radius-0.6 cylinder on this
+    graph takes 15,645 groups (15,690 while 45 such pieces were kept), no
+    section group spans a piece of rounding length at every angle, and
+    the integral is still the clipped mass."""
+    C = ex.holomorphic_graph(h=0.05)
+    R = cur.Region.cylinder(np.zeros(4), 0.6, (0, 1))
+    groups = []
+
+    def count(p, t):
+        groups.append(p)
+        return np.ones(p.shape[:-1])
+
+    got = cur.integrate(C, count, R)
+    assert sum(len(p) for p in groups) == 15_645
+    n_theta, n_rho = cur._SECTION_NODES
+    sections = np.concatenate([p for p in groups if p.shape[1] == n_theta * n_rho])
+    nodes = sections.reshape(len(sections), n_theta, n_rho, 4)
+    spread = np.linalg.norm(nodes[:, :, -1] - nodes[:, :, 0], axis=-1).max(axis=1)
+    assert not np.any((spread > 0.0) & (spread <= 1e-9))
+    assert got == pytest.approx(cur.mass(C, R), rel=1e-12, abs=0.0)
+
+
 def test_refinement_mass_ratio():
     """Mass error of the z^2 graph decays at second order in h."""
     exact = 3 * math.pi

@@ -2,9 +2,9 @@
 every private module-level name is referenced somewhere in the package.
 
 A stand-in for pyflakes' unused-import check (F401), which is not a
-dependency: each `src/curlab/*.py` is parsed with `ast`, and an imported
-name must appear as a name in the module's code or be listed in its
-`__all__`. Imports on a line marked `# noqa: F401` are exempt; they keep
+dependency: each `src/curlab/*.py` and `tests/*.py` is parsed with `ast`,
+and an imported name must appear as a name in the module's code or be
+listed in its `__all__`. Imports on a line marked `# noqa: F401` are exempt; they keep
 names that perfbench/tracing.py wraps on the module that calls them.
 
 The dead-code guard: a function, class or constant defined at module level
@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "curlab"
+TESTS = Path(__file__).resolve().parent
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -52,7 +53,8 @@ def _unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 

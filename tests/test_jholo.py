@@ -66,6 +66,31 @@ def test_scaled_energy_hopf_constant(u_hopf):
     assert np.ptp(vals) / vals.mean() <= 0.02
 
 
+def test_scaled_energy_hopf_has_no_parity(u_hopf):
+    """Hopf is an exact cone, with scaled energy 8 pi^2 at every radius;
+    one radial rule at every index keeps neighbouring radii together."""
+    vals = np.array([jh.scaled_energy(u_hopf, u_hopf.radii[k]) for k in range(29, 41)])
+    assert np.abs(np.diff(vals)).max() <= 1e-8 * vals.mean()
+    assert np.abs(vals / (8 * PI2) - 1).max() <= 2e-6
+
+
+def test_map_rate_fit_hopf_mixed_parity_ladder(u_hopf):
+    """The stride-5 ladder mixes odd and even radius indices; Hopf's trace
+    on it is flat, so mode B returns the exact-cone sentinel."""
+    fit = jh.map_rate_fit(u_hopf, u_hopf.radii[::-5][:7][::-1], mode="B")
+    assert fit.exact_cone
+
+
+@pytest.mark.parametrize("name, tol", [("z1", 1e-4), ("z1z2", 5e-4)])
+def test_scaled_energy_closed_forms_on_every_parity(name, tol, u_z1, u_z1z2):
+    """pi^2 r^2 for z1 and (2 pi^2 / 3) r^4 for z1z2, on odd and even
+    radius indices alike."""
+    u, power, c = {"z1": (u_z1, 2, PI2), "z1z2": (u_z1z2, 4, 2 * PI2 / 3)}[name]
+    for k in (40, 39, 35, 34, 20, 19):
+        r = u.radii[k]
+        assert jh.scaled_energy(u, r) == pytest.approx(c * r**power, rel=tol)
+
+
 def test_radial_energy_homogeneous(u_hopf):
     E = jh.scaled_energy(u_hopf, 1.0)
     assert jh.radial_energy(u_hopf, 0.0, 1.0) <= 1e-6 * E
@@ -320,20 +345,40 @@ def test_coarea_batched_matches_per_line(u_z1, u_z1z2, u_hopf):
     np.testing.assert_allclose(per, want, rtol=1e-12, atol=0.0)
 
 
+def test_gregory_weights():
+    """The radial weights: exact on s^d, d <= 5, from 5 samples on (3 and
+    4 samples: Simpson's rule and the 3/8 rule), the same read backwards,
+    and positive."""
+    assert jh._gregory_weights(1).tolist() == [0.0]
+    for n in range(2, 80):
+        w = jh._gregory_weights(n)
+        assert w.tolist() == w[::-1].tolist()
+        assert np.all(w > 0)
+        s = np.arange(n) / (n - 1)
+        for d in range(6 if n >= 5 else 4 if n >= 3 else 2):
+            assert abs(w @ s**d / (n - 1) - 1 / (d + 1)) <= 1e-15, (n, d)
+
+
 @pytest.mark.parametrize("n", range(3, 51))
 def test_simpson_matches_scipy_bit_for_bit(n):
-    """`_simpson` is scipy's 1-d `simpson` to the bit, for odd n and for
-    even n (Cartwright's last interval), on geometric nodes, on their
-    logarithms (the uniform nodes `ball_integral` uses) and on random
-    increasing nodes."""
+    """The radial rule against scipy's `simpson` as reference, on uniform
+    log-radius nodes as `ball_integral` takes them: on any samples for n = 3,
+    where both are Simpson's rule, and for larger n on the polynomials both
+    integrate exactly (cubics for odd n; quadratics for even n, where scipy
+    takes Cartwright's last interval). The two differ by rounding only:
+    16 ulps of h * sum |y|."""
     rng = np.random.default_rng(n)
-    geometric = rng.uniform(0.1, 2.0) * rng.uniform(0.5, 0.95) ** np.arange(n)[::-1]
-    for x in (geometric, np.log(geometric),
-              np.cumsum(rng.uniform(1e-3, 1.0, n)) - rng.uniform(0, 5)):
-        y = rng.normal(size=n) * rng.uniform(0.1, 10.0)
-        got = jh._simpson(y, x)
-        want = simpson(y, x=x)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+    for _ in range(20):
+        h = -math.log(rng.uniform(0.5, 0.95))
+        s = math.log(rng.uniform(0.1, 2.0)) - h * np.arange(n)[::-1]
+        if n == 3:
+            y = rng.normal(size=n)
+        else:
+            y = np.polyval(rng.normal(size=4 if n % 2 else 3), s - s.mean())
+        y *= rng.uniform(0.1, 10.0)
+        got = h * float(jh._gregory_weights(n) @ y)
+        want = simpson(y, x=s)
+        assert abs(got - want) <= 16 * np.finfo(float).eps * h * np.abs(y).sum(), (got, want)
 
 
 @pytest.mark.parametrize("name", ["z1", "z1z2", "hopf"])
