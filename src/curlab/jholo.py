@@ -55,25 +55,6 @@ def _stencil_1d(t: np.ndarray) -> np.ndarray:
     return w
 
 
-def _apply_stencil(values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The `_stencil_1d` weights applied along the first axis.
-
-    Slices stand in for index gathers; each row still sums its three
-    products left to right, so the bits are those of the gathered form.
-    """
-    M = len(values)
-    wb = w.reshape(M, 3, *([1] * (values.ndim - 1)))
-    out = np.empty_like(values)
-    mid = out[1:M - 1]
-    np.multiply(wb[1:M - 1, 0], values[0:M - 2], out=mid)
-    mid += wb[1:M - 1, 1] * values[1:M - 1]
-    mid += wb[1:M - 1, 2] * values[2:M]
-    for i, lo in ((0, 0), (M - 1, M - 3)):
-        out[i] = (wb[i, 0] * values[lo] + wb[i, 1] * values[lo + 1]
-                  + wb[i, 2] * values[lo + 2])
-    return out
-
-
 def _periodic_diff_matrix(n: int) -> np.ndarray:
     """First-derivative matrix on n uniform nodes of the periodic [0, 2pi).
 
@@ -127,6 +108,21 @@ def _gregory_weights(n: int) -> np.ndarray:
         w[:j + 1] += end
         w[::-1][:j + 1] += end
     return w
+
+
+_BLOCK_NODES = 1 << 15  # nodes per block of a map's radii or of coarea lines
+
+
+def _blocks(n: int, size: int) -> list[slice]:
+    """Consecutive slices of n items of `size` nodes, `_BLOCK_NODES` a slice."""
+    step = max(1, _BLOCK_NODES // size)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _empty_partials(v: np.ndarray) -> list:
+    """Frame partial arrays for (n,E,P,P,d) values; phi2's is (n,E,P,d,P)."""
+    return [np.empty_like(v), np.empty_like(v), np.empty_like(v),
+            np.moveaxis(np.empty(v.shape[:3] + v.shape[:2:-1]), -1, 3)]
 
 
 def _periodic_multilinear(values: np.ndarray, radii: np.ndarray, eta: np.ndarray,
@@ -203,11 +199,13 @@ class SampledMap:
         self._energy = None
         self._radial = None
 
-        vals = np.asarray(f(self.points.reshape(-1, 4)), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        self.d = vals.shape[1]
-        self.values = vals.reshape(n_radial, n_eta, n_phi, n_phi, self.d)
+        self.values = None  # sampled block by block into one array
+        for rows in _blocks(n_radial, n_eta * n_phi**2):
+            vals = np.asarray(f(self._points(rows).reshape(-1, 4)), dtype=float)
+            if self.values is None:
+                self.d = 1 if vals.ndim == 1 else vals.shape[1]
+                self.values = np.empty((n_radial, n_eta, n_phi, n_phi, self.d))
+            self.values[rows] = vals.reshape((-1,) + self.values.shape[1:])
         if not np.all(np.isfinite(self.values)):
             raise ValueError("map values must be finite")
         # sphere quadrature weights including the cos*sin area factor
@@ -223,11 +221,15 @@ class SampledMap:
     @property
     def points(self) -> np.ndarray:
         """Node coordinates in R^4, shape (R,E,P,P,4), built on each access."""
-        rho = self.radii[:, None, None, None]
+        return self._points(slice(None))
+
+    def _points(self, rows: slice) -> np.ndarray:
+        """The node coordinates of the radii `rows`."""
+        rho = self.radii[rows, None, None, None]
         eta = self.eta[None, :, None, None]
         p1 = self.phi[None, None, :, None]
         p2 = self.phi[None, None, None, :]
-        full = (len(self.radii), len(self.eta), self.n_phi, self.n_phi)
+        full = (len(rho), len(self.eta), self.n_phi, self.n_phi)
         return np.stack(
             [
                 np.broadcast_to(rho * np.cos(eta) * np.cos(p1), full),
@@ -240,41 +242,59 @@ class SampledMap:
 
     # -- differentiation -------------------------------------------------
 
+    def _partial_blocks(self, out=None):
+        """Yield (rows, partials) per block of radii: the block's four frame
+        partials in `frame_partials` order and layout, fresh or the rows of
+        `out`. The radial stencil is applied by slices that read one radius
+        past the block, each row summed (w0 v0 + w1 v1) + w2 v2; each angular
+        partial is one matrix product along its axis, on the values in place
+        for eta and phi1 and on a block copy with phi2 last for phi2."""
+        v = self.values
+        R, E, P = v.shape[:3]
+        w = _stencil_1d(self.radii).reshape(R, 3, 1, 1, 1, 1)
+        D_eta, D_phi = _diff_matrix(self.eta), _periodic_diff_matrix(P)
+        ce, se = (f(self.eta)[:, None, None, None] for f in (np.cos, np.sin))
+        by_eta, by_phi1 = (-1, E, P * P * self.d), (-1, P, P * self.d)
+        for rows in _blocks(R, E * P * P):
+            lo, hi = rows.start, rows.stop
+            vb = v[rows]
+            du_rho, du_eta, du_p1, du_p2 = du = (
+                _empty_partials(vb) if out is None else [o[rows] for o in out])
+            # rows 0 and R-1 reuse the nearest centred triple
+            a, b = max(lo, 1), min(hi, R - 1)
+            mid = du_rho[a - lo:b - lo]
+            np.multiply(w[a:b, 0], v[a - 1:b - 1], out=mid)
+            mid += w[a:b, 1] * v[a:b]
+            mid += w[a:b, 2] * v[a + 1:b + 1]
+            for i, s in ((0, 0), (R - 1, R - 3)):
+                if lo <= i < hi:
+                    du_rho[i - lo] = (w[i, 0] * v[s] + w[i, 1] * v[s + 1]
+                                      + w[i, 2] * v[s + 2])
+            np.matmul(D_eta, vb.reshape(by_eta), out=du_eta.reshape(by_eta))
+            np.matmul(D_phi, vb.reshape(by_phi1), out=du_p1.reshape(by_phi1))
+            v2 = np.ascontiguousarray(np.moveaxis(vb, 3, -1)).reshape(-1, P)
+            np.matmul(v2, D_phi.T, out=np.moveaxis(du_p2, 3, -1).reshape(-1, P))
+            rho = self.radii[rows, None, None, None, None]
+            du_eta /= rho
+            du_p1 /= rho * ce
+            du_p2 /= rho * se
+            yield rows, du
+
     def frame_partials(self):
         """Partials along the orthogonal polar frame, each (R,E,P,P,d).
 
         Order: d/d rho, (1/rho) d/d eta, the two normalized phi directions.
-        The radial partial applies the 3-point stencil by slices; each
-        angular partial is one matrix product along its axis: the eta
-        differentiation matrix on the (R, E, P P d) values, the periodic
-        one on the (R E, P, P d) values for phi1, read in place, and on a
-        (R, E, P, d, P) copy for phi2, returned as a view with the axis
-        moved back. Computed once per map; the arrays are read-only.
+        Written by `_partial_blocks` once per map, when first asked for
+        (`gradient` asks; the densities do not); the arrays are read-only.
         """
-        if self._grad is not None:
-            return self._grad
-        v = self.values
-        R, E, P = v.shape[:3]
-        D_phi = _periodic_diff_matrix(P)
-        du_rho = _apply_stencil(v, _stencil_1d(self.radii))
-        du_eta = np.matmul(_diff_matrix(self.eta),
-                           v.reshape(R, E, -1)).reshape(v.shape)
-        du_p1 = np.matmul(D_phi, v.reshape(R * E, P, -1)).reshape(v.shape)
-        v2 = np.ascontiguousarray(np.moveaxis(v, 3, -1))
-        du_p2 = np.moveaxis(
-            np.matmul(v2.reshape(-1, P), D_phi.T).reshape(v2.shape), -1, 3)
-        rho = self.radii[:, None, None, None, None]
-        ce = np.cos(self.eta)[None, :, None, None, None]
-        se = np.sin(self.eta)[None, :, None, None, None]
-        # scaled in place: each array is this method's own fresh result
-        du_eta /= rho
-        du_p1 /= rho * ce
-        du_p2 /= rho * se
-        grad = (du_rho, du_eta, du_p1, du_p2)
-        for g in grad:
-            g.flags.writeable = False
-        self._grad = grad
-        return grad
+        if self._grad is None:
+            grad = _empty_partials(self.values)
+            for _ in self._partial_blocks(out=grad):
+                pass
+            for g in grad:
+                g.flags.writeable = False
+            self._grad = tuple(grad)
+        return self._grad
 
     def frame_vectors(self):
         """Orthonormal frame (e_rho, e_eta, e_phi1, e_phi2) at the nodes."""
@@ -307,24 +327,29 @@ class SampledMap:
             self._jacobian = out
         return self._jacobian
 
+    def _densities(self):
+        """Both densities in one pass over the blocks of radii: the squared
+        radial partial, and that plus the other squares in frame order."""
+        energy, radial = np.empty((2,) + self.values.shape[:4])
+        for rows, (first, *rest) in self._partial_blocks():
+            out = np.einsum("...d,...d->...", first, first)
+            radial[rows] = out
+            for p in rest:
+                out += np.einsum("...d,...d->...", p, p)
+            energy[rows] = out
+        energy.flags.writeable = radial.flags.writeable = False
+        self._energy, self._radial = energy, radial
+
     def energy_density(self) -> np.ndarray:
         """|grad u|^2 per node, shape (R,E,P,P); computed once, read-only."""
         if self._energy is None:
-            first, *rest = self.frame_partials()
-            out = np.einsum("...d,...d->...", first, first)
-            for p in rest:
-                out += np.einsum("...d,...d->...", p, p)
-            out.flags.writeable = False
-            self._energy = out
+            self._densities()
         return self._energy
 
     def radial_density(self) -> np.ndarray:
         """|du/dR|^2 per node; computed once, read-only."""
         if self._radial is None:
-            du = self.frame_partials()[0]
-            out = np.einsum("...d,...d->...", du, du)
-            out.flags.writeable = False
-            self._radial = out
+            self._densities()
         return self._radial
 
     # -- integration -----------------------------------------------------
@@ -348,20 +373,26 @@ class SampledMap:
         uniform on the ladder, at every index; the hole below the innermost
         radius takes a local power law.
         """
-        k = self._radius_index(r)
+        return float(self._ball_integrals(density, [r], radial_weight)[0])
+
+    def _ball_integrals(self, density: np.ndarray, ladder,
+                        radial_weight=None) -> np.ndarray:
+        """`ball_integral` at each radius of a ladder; the sphere integrals
+        and the radial weight are taken once for all of them."""
+        ks = [self._radius_index(r) for r in ladder]
         rho = self.radii
         F = rho**3 * self.sphere_integral(density) * (
             1.0 if radial_weight is None else radial_weight(rho))
         h = -math.log(self.ratio)
-        acc = h * float(_gregory_weights(k + 1) @ (F[: k + 1] * rho[: k + 1]))
         # hole: assume F ~ F(rho_0) * (rho/rho_0)^p with p from the first step
         if F[0] > 0 and F[1] > 0:
             p = math.log(F[1] / F[0]) / math.log(rho[1] / rho[0])
             p = min(max(p, 0.0), 8.0)
         else:
             p = 3.0
-        acc += float(F[0] * rho[0] / (p + 1.0))
-        return acc
+        hole = float(F[0] * rho[0] / (p + 1.0))
+        return np.array([h * float(_gregory_weights(k + 1) @ (F * rho)[: k + 1]) + hole
+                         for k in ks])
 
 
 def scaled_energy(u: SampledMap, r: float) -> float:
@@ -372,12 +403,11 @@ def scaled_energy(u: SampledMap, r: float) -> float:
 
 def radial_energy(u: SampledMap, sigma: float, tau: float) -> float:
     """Integral of R^{2-2n} |du/dR|^2 over the annulus, sigma may be 0."""
-    dens = u.radial_density()
     w = lambda t: t**-2
-    top = u.ball_integral(dens, tau, w)
     if sigma <= 0:
-        return top
-    return top - u.ball_integral(dens, sigma, w)
+        return u.ball_integral(u.radial_density(), tau, w)
+    top, bottom = u._ball_integrals(u.radial_density(), [tau, sigma], w)
+    return float(top - bottom)
 
 
 def map_monotonicity_check(u: SampledMap, ladder, tol: float = 0.01):
@@ -397,10 +427,8 @@ def map_monotonicity_check(u: SampledMap, ladder, tol: float = 0.01):
     ladder = np.sort(np.asarray(ladder, dtype=float))
     if len(ladder) < 5:
         raise ValueError("at least 5 ladder scales required")
-    E = np.array([u.ball_integral(u.energy_density(), r) for r in ladder])
-    dens = u.radial_density()
-    w = lambda t: t**-2
-    cum = np.array([u.ball_integral(dens, r, w) for r in ladder])
+    E = u._ball_integrals(u.energy_density(), ladder)
+    cum = u._ball_integrals(u.radial_density(), ladder, lambda t: t**-2)
     rad = np.diff(cum)
     theta = E / ladder**2
     size = max(u.values.max(), -u.values.min())
@@ -620,20 +648,21 @@ def coarea_slice_check(u: SampledMap, n_lines: int = 128, seed: int = 7,
     tt = 2 * math.pi * np.arange(nt) / nt
     zeta = (tr[:, None] * np.exp(1j * tt[None, :])).ravel()
     wq = (1.0 / nr) * (2 * math.pi / nt) * np.abs(zeta) * np.abs(zeta) ** 2
-    # the quadrature points of every line, line by line, in one batch
-    zpts = (zeta[None, :, None] * a[:, None, :]).reshape(-1, 2)
-    rel = np.column_stack(
-        [zpts[:, 0].real, zpts[:, 0].imag, zpts[:, 1].real, zpts[:, 1].imag]
-    )
-    rho = np.linalg.norm(rel, axis=1)
-    z1 = np.abs(rel[:, 0] + 1j * rel[:, 1])
-    eta = np.arctan2(np.abs(rel[:, 2] + 1j * rel[:, 3]), z1)
-    p1 = np.arctan2(rel[:, 1], rel[:, 0]) % (2 * math.pi)
-    p2 = np.arctan2(rel[:, 3], rel[:, 2]) % (2 * math.pi)
-    eta = np.clip(eta, u.eta[0], u.eta[-1])
-    rho = np.clip(rho, u.radii[0], u.radii[-1])
-    vals = _periodic_multilinear(density, u.radii, u.eta, u.phi, (rho, eta, p1, p2))
-    per_line = vals.reshape(n_lines, len(zeta)) @ wq
+    # quadrature points by blocks of lines; all lines are summed at once
+    vals = np.empty((n_lines, len(zeta)))
+    for lines in _blocks(n_lines, len(zeta)):
+        # (re z1, im z1, re z2, im z2) per point
+        rel = (zeta[None, :, None] * a[lines, None, :]).reshape(-1, 2).view(float)
+        rho = np.linalg.norm(rel, axis=1)
+        z1 = np.abs(rel[:, 0] + 1j * rel[:, 1])
+        eta = np.arctan2(np.abs(rel[:, 2] + 1j * rel[:, 3]), z1)
+        p1 = np.arctan2(rel[:, 1], rel[:, 0]) % (2 * math.pi)
+        p2 = np.arctan2(rel[:, 3], rel[:, 2]) % (2 * math.pi)
+        eta = np.clip(eta, u.eta[0], u.eta[-1])
+        rho = np.clip(rho, u.radii[0], u.radii[-1])
+        vals[lines] = _periodic_multilinear(
+            density, u.radii, u.eta, u.phi, (rho, eta, p1, p2)).reshape(-1, len(zeta))
+    per_line = vals @ wq
     reassembled = math.pi * per_line.mean()
     ball = u.ball_integral(density, u.r_max)
     ratio = reassembled / ball if ball else math.nan
@@ -655,9 +684,7 @@ def map_rate_fit(u: SampledMap, ladder, mode: str = "A",
                  theta_hat: float | None = None) -> bl.RateFit:
     """Power-law fit of the scaled-energy trace over a decreasing ladder."""
     ladder = np.asarray(sorted(ladder, reverse=True), dtype=float)
-    masses = np.array(
-        [u.ball_integral(u.energy_density(), r) for r in ladder]
-    )
+    masses = u._ball_integrals(u.energy_density(), ladder)
     trace = bl.DensityTrace(np.zeros(4), ladder, masses)
     return bl.rate_fit(trace, mode=mode, theta_hat=theta_hat)
 

@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -704,6 +706,99 @@ def test_property_map_derivatives_match_reference(name, n_radial, n_eta,
 
     for arr in (*parts, u.energy_density(), u.radial_density(), u.gradient()):
         assert not arr.flags.writeable
+
+
+def _whole_grid_reference(u):
+    """Values, partials, densities and Jacobian of a map, each computed on
+    the whole grid at once: the values from every node in one call, the
+    radial partial by `_frame_partials_reference`'s gathers, the angular
+    ones by whole-grid matrix products (phi2 on one transposed copy of the
+    grid), scaled in place, and the densities and Jacobian summed in frame
+    order."""
+    v = np.asarray(u.f(_points_reference(u).reshape(-1, 4)), dtype=float)
+    v = v.reshape(u.values.shape)
+    R, E, P = v.shape[:3]
+    idx_r, w_r = _stencil_1d_reference(u.radii)
+    D_phi = jh._periodic_diff_matrix(P)
+    du_rho = _apply_stencil_reference(v, 0, idx_r, w_r)
+    du_eta = np.matmul(jh._diff_matrix(u.eta), v.reshape(R, E, -1)).reshape(v.shape)
+    du_p1 = np.matmul(D_phi, v.reshape(R * E, P, -1)).reshape(v.shape)
+    v2 = np.ascontiguousarray(np.moveaxis(v, 3, -1))
+    du_p2 = np.moveaxis(np.matmul(v2.reshape(-1, P), D_phi.T).reshape(v2.shape), -1, 3)
+    rho = u.radii[:, None, None, None, None]
+    du_eta /= rho
+    du_p1 /= rho * np.cos(u.eta)[None, :, None, None, None]
+    du_p2 /= rho * np.sin(u.eta)[None, :, None, None, None]
+    parts = (du_rho, du_eta, du_p1, du_p2)
+    radial = np.einsum("...d,...d->...", du_rho, du_rho)
+    energy = radial.copy()
+    for p in parts[1:]:
+        energy += np.einsum("...d,...d->...", p, p)
+    jac = np.zeros(v.shape + (4,))
+    for p, e in zip(parts, u.frame_vectors()):
+        jac += p[..., :, None] * e[..., None, :]
+    return v, parts, energy, radial, jac
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["scalar", "z1", "z1z2", "hopf"]),
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=3, max_value=16),
+    st.floats(min_value=0.5, max_value=0.95),
+    st.floats(min_value=0.1, max_value=10.0),
+)
+def test_property_radius_blocks_keep_whole_grid_bits(name, n_radial, n_eta,
+                                                     n_phi, ratio, r_max):
+    """Maps are sampled, differentiated and squared radius block by radius
+    block, and the coarea check interpolates its lines block by block. At
+    a block budget of 1 node (one radius or line per block), of the prime
+    3457 (uneven blocks, a short last one) and of the default, the values,
+    the four partials, both densities and the Jacobian are the same bytes
+    as the whole-grid reference's, and the coarea per-line values are the
+    same bytes at every budget and match the per-line interpolator to
+    1e-12."""
+    grid = dict(n_radial=n_radial, n_eta=n_eta, n_phi=n_phi, ratio=ratio,
+                r_max=r_max)
+    coarea = []
+    for budget in (1, 3457, jh._BLOCK_NODES):
+        with mock.patch.object(jh, "_BLOCK_NODES", budget):
+            if name == "scalar":
+                u = jh.SampledMap(_scalar_map, **grid)
+            else:
+                u = jh.map_example(name, **grid)
+            v, parts, energy, radial, jac = _whole_grid_reference(u)
+            assert u.values.tobytes() == v.tobytes()
+            # the densities first, so that they are built without partials
+            assert u.energy_density().tobytes() == energy.tobytes()
+            assert u.radial_density().tobytes() == radial.tobytes()
+            for got, want in zip(u.frame_partials(), parts, strict=True):
+                assert got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
+            assert u.gradient().tobytes() == jac.tobytes()
+            coarea.append(jh.coarea_slice_check(u, n_lines=64, seed=n_radial)[0])
+    want = _coarea_per_line_reference(u, u.energy_density(), 64, n_radial)
+    np.testing.assert_allclose(coarea[0], want, rtol=1e-12, atol=0.0)
+    assert coarea[0].tobytes() == coarea[1].tobytes() == coarea[2].tobytes()
+
+
+def test_densities_build_no_whole_grid_partials():
+    """On the default grid the densities come from one radius block of
+    partials at a time: no frame partials are kept, and the traced peak
+    of the two calls is 20 MiB, against 15.5 MiB measured (the two 5.1 MiB
+    densities and one block's temporaries) and 51.3 MiB when the four
+    whole-grid partials (41 MiB) were built first."""
+    u = jh.map_example("z1")
+    tracemalloc.start()
+    try:
+        u.energy_density()
+        u.radial_density()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u._grad is None
+    assert peak <= 20 * 2**20
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 16, 31, 32])
