@@ -352,7 +352,8 @@ def _map_ladder(u, s):
 
 def _cmd_jholo_energy(s):
     u = _load_map(s)
-    rows = [(r, jh.scaled_energy(u, r)) for r in _map_ladder(u, s)]
+    lad = _map_ladder(u, s)
+    rows = list(zip(lad, jh.scaled_energies(u, lad)))
     return ("r", "scaled_energy"), rows, []
 
 
@@ -364,9 +365,8 @@ def _cmd_jholo_monotonicity(s):
     c, passed = jh.map_monotonicity_check(u, lad)
     if not passed:
         raise CheckFailure("no drift constant up to 1e3 restores monotonicity")
-    E = [jh.scaled_energy(u, r) for r in sorted(lad, reverse=True)]
-    rows = [(r, e, c, passed)
-            for r, e in zip(sorted(lad, reverse=True), E)]
+    lad = sorted(lad, reverse=True)
+    rows = [(r, e, c, passed) for r, e in zip(lad, jh.scaled_energies(u, lad))]
     return ("r", "scaled_energy", "c", "passed"), rows, [f"c: {_fmt(c)}"]
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "map_example",
     "MAP_EXAMPLE_NAMES",
     "scaled_energy",
+    "scaled_energies",
     "radial_energy",
     "map_monotonicity_check",
     "inner_variation_residual",
@@ -317,12 +318,15 @@ class SampledMap:
         return e_rho, e_eta, e_p1, e_p2
 
     def gradient(self):
-        """Full Cartesian Jacobian at every node, shape (R,E,P,P,d,4);
-        computed once, read-only."""
+        """Full Cartesian Jacobian at every node, shape (R,E,P,P,d,4), filled
+        block by block from `_partial_blocks`; computed once, read-only."""
         if self._jacobian is None:
             out = np.zeros(self.values.shape + (4,))
-            for du, e in zip(self.frame_partials(), self.frame_vectors()):
-                out += du[..., :, None] * e[..., None, :]
+            frame = self.frame_vectors()
+            for rows, du in self._partial_blocks():
+                block = out[rows]
+                for p, e in zip(du, frame):
+                    block += p[..., :, None] * e[..., None, :]
             out.flags.writeable = False
             self._jacobian = out
         return self._jacobian
@@ -397,8 +401,13 @@ class SampledMap:
 
 def scaled_energy(u: SampledMap, r: float) -> float:
     """r^{2-2n} times the Dirichlet energy on B_r (domain dimension 2n=4)."""
-    E = u.ball_integral(u.energy_density(), r)
-    return E / r**2
+    return float(scaled_energies(u, [r])[0])
+
+
+def scaled_energies(u: SampledMap, ladder) -> np.ndarray:
+    """`scaled_energy` at each radius of a ladder, from one `_ball_integrals`."""
+    E = u._ball_integrals(u.energy_density(), ladder)
+    return np.array([float(e) / r**2 for e, r in zip(E, ladder)])
 
 
 def radial_energy(u: SampledMap, sigma: float, tau: float) -> float:
@@ -588,40 +597,40 @@ def inner_variation_residual(u: SampledMap, xi: VectorField,
     structure-perturbation terms; zero (to quadrature) for standard-structure
     holomorphic maps, and O(slope * r) times the energy in general.
     """
-    x = u.points
     if xi.support_radius >= u.r_max - 1e-12:
         # sampled compactness check on the outermost sphere
-        edge = np.abs(xi.value(x[-1].reshape(-1, 4))).max()
+        edge = np.abs(xi.value(u._points(slice(-1, None)).reshape(-1, 4))).max()
         if edge > 1e-10:
             raise ValueError("test field must vanish near the boundary")
-    pts = x.reshape(-1, 4)
-    Du = u.gradient().reshape(-1, u.d, 4)
-    dens = u.energy_density().reshape(-1)
-    Dxi = xi.jacobian(pts)  # (P, i, j) = d xi^j / d x_i
-    # kept as one einsum: a reordered sum moves the near-cancelling
-    # standard-J residual by more than 1e-12 relative
-    gram = np.einsum("pai,paj->pij", Du, Du)
-    div = np.einsum("pii->p", Dxi)
-    lhs = dens * div - 2.0 * np.einsum("pij,pij->p", gram, Dxi)
     B = ComplexStructure(u.d).matrix
     J0 = J.J0
-    rhs = np.zeros(len(pts))
-    if J.slope != 0.0:
-        A = J.matrix_many(pts) - J.J0[None]
-        M = A @ A.transpose(0, 2, 1) + 2.0 * (A @ J0.T)
-        DuB = np.einsum("ba,pbj->paj", B, Du)
-        phi = np.einsum("pak,pkl,pal->p", Du, A, DuB, optimize=True)
-        T2 = np.einsum("pak,pki,paj->pij", Du, A, DuB, optimize=True)
-        psi = np.einsum("pkl,pkl->p", gram, M)
-        T4 = M.transpose(0, 2, 1) @ gram
-        rhs = (
-            -0.5 * phi * div
-            + np.einsum("pij,pij->p", T2, Dxi)
-            - 0.5 * psi * div
-            + np.einsum("pij,pij->p", T4, Dxi)
-        )
-    resid = lhs - rhs
-    grid = resid.reshape(u.values.shape[:4])
+    grid = np.empty(u.values.shape[:4])
+    for rows in _blocks(len(u.radii), grid[0].size):
+        pts = u._points(rows).reshape(-1, 4)
+        Du = u.gradient()[rows].reshape(-1, u.d, 4)
+        dens = u.energy_density()[rows].reshape(-1)
+        Dxi = xi.jacobian(pts)  # (P, i, j) = d xi^j / d x_i
+        # kept as one einsum: a reordered sum moves the near-cancelling
+        # standard-J residual by more than 1e-12 relative
+        gram = np.einsum("pai,paj->pij", Du, Du)
+        div = np.einsum("pii->p", Dxi)
+        lhs = dens * div - 2.0 * np.einsum("pij,pij->p", gram, Dxi)
+        rhs = np.zeros(len(pts))
+        if J.slope != 0.0:
+            A = J.matrix_many(pts) - J.J0[None]
+            M = A @ A.transpose(0, 2, 1) + 2.0 * (A @ J0.T)
+            DuB = np.einsum("ba,pbj->paj", B, Du)
+            phi = np.einsum("pak,pkl,pal->p", Du, A, DuB, optimize=True)
+            T2 = np.einsum("pak,pki,paj->pij", Du, A, DuB, optimize=True)
+            psi = np.einsum("pkl,pkl->p", gram, M)
+            T4 = M.transpose(0, 2, 1) @ gram
+            rhs = (
+                -0.5 * phi * div
+                + np.einsum("pij,pij->p", T2, Dxi)
+                - 0.5 * psi * div
+                + np.einsum("pij,pij->p", T4, Dxi)
+            )
+        grid[rows] = (lhs - rhs).reshape(grid[rows].shape)
     # integrate over the whole ball (xi vanishes near the boundary)
     return u.ball_integral(grid, u.r_max)
 

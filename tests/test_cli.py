@@ -3,6 +3,7 @@
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from curlab import calibrations as cal
 from curlab import cli
 from curlab import currents as cur
 from curlab import examples as ex
+from curlab import jholo as jh
 
 
 def _read_rows(path):
@@ -239,6 +241,26 @@ def test_jholo_monotonicity_zero_energy_map(tmp_path):
     assert rc == 0
     _, rows = _read_rows(tmp_path / "jholo_monotonicity.csv")
     assert all(row[-2:] == ["0", "true"] for row in rows[1:])
+
+
+def test_jholo_scaled_energies_take_one_ladder(tmp_path):
+    """jholo-energy takes its rows from one ladder of ball integrals, so
+    one sphere integral in all (one per radius before); jholo-monotonicity
+    takes three, two in the check and one for its rows (ten before)."""
+    calls = []
+    sphere_integral = jh.SampledMap.sphere_integral
+
+    def counted(u, density):
+        calls.append(density.shape)
+        return sphere_integral(u, density)
+
+    counts = []
+    with mock.patch.object(jh.SampledMap, "sphere_integral", counted):
+        for argv in (["jholo-energy", "--n", "6"], ["jholo-monotonicity"]):
+            calls.clear()
+            assert cli.run(argv + ["--example", "z1", "--out", str(tmp_path)]) == 0
+            counts.append(len(calls))
+    assert counts == [1, 3]
 
 
 def test_jholo_unknown_map(tmp_path):
